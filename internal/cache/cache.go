@@ -668,9 +668,16 @@ func (c *Cache) SetWaiters(ref Ref, write bool, token uint64) bool {
 }
 
 // SwapWaiters replaces the token for the given mode only if the current
-// token equals old (compare-and-swap). Callers use it to install a fresh
-// response-queue entry over a stale token without racing other threads.
-func (c *Cache) SwapWaiters(ref Ref, write bool, old, new uint64) bool {
+// token equals old (compare-and-swap) and the object has no holder
+// outside seen, the Vh∪Vp the caller's failed selection saw. Callers
+// use it to install a fresh response-queue entry over a stale token
+// without racing other threads. The holder check closes a lost wake-up:
+// a positive response that lands after the caller read its view has
+// already detached and released whatever token the object held, so an
+// entry installed now would be released by nothing and expire into the
+// full delay. On failure the caller re-reads the object (Waiters) and
+// re-selects.
+func (c *Cache) SwapWaiters(ref Ref, write bool, old, new uint64, seen bitvec.Vec) bool {
 	s := c.shards[ref.shard&uint32(len(c.shards)-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -678,33 +685,38 @@ func (c *Cache) SwapWaiters(ref Ref, write bool, old, new uint64) bool {
 		s.stats.staleRefs.Add(1)
 		return false
 	}
+	l := ref.obj
+	if !l.vh.Union(l.vp).Minus(seen).IsEmpty() {
+		return false
+	}
 	if write {
-		if ref.obj.rw != old {
+		if l.rw != old {
 			return false
 		}
-		ref.obj.rw = new
+		l.rw = new
 	} else {
-		if ref.obj.rr != old {
+		if l.rr != old {
 			return false
 		}
-		ref.obj.rr = new
+		l.rr = new
 	}
 	return true
 }
 
-// Waiters returns the current token for the given mode (0 if none).
-func (c *Cache) Waiters(ref Ref, write bool) (uint64, bool) {
+// Waiters returns the current token for the given mode (0 if none) and
+// the object's view, read under the same lock.
+func (c *Cache) Waiters(ref Ref, write bool) (uint64, View, bool) {
 	s := c.shards[ref.shard&uint32(len(c.shards)-1)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.valid(ref) {
 		s.stats.staleRefs.Add(1)
-		return 0, false
+		return 0, View{}, false
 	}
 	if write {
-		return ref.obj.rw, true
+		return ref.obj.rw, ref.obj.view(), true
 	}
-	return ref.obj.rr, true
+	return ref.obj.rr, ref.obj.view(), true
 }
 
 // ClearWaiters drops the token for the given mode if it matches.

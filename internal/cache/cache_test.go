@@ -260,18 +260,41 @@ func TestWaitersLifecycle(t *testing.T) {
 	c := testCache(vclock.NewFake())
 	ref, _, _ := c.Add("/f", bitvec.Of(0), 0)
 	c.SetWaiters(ref, false, 42)
-	tok, ok := c.Waiters(ref, false)
+	tok, _, ok := c.Waiters(ref, false)
 	if !ok || tok != 42 {
 		t.Fatalf("Waiters = %d,%v", tok, ok)
 	}
 	// Clearing with the wrong token is a no-op.
 	c.ClearWaiters(ref, false, 41)
-	if tok, _ := c.Waiters(ref, false); tok != 42 {
+	if tok, _, _ := c.Waiters(ref, false); tok != 42 {
 		t.Error("ClearWaiters with wrong token must not clear")
 	}
 	c.ClearWaiters(ref, false, 42)
-	if tok, _ := c.Waiters(ref, false); tok != 0 {
+	if tok, _, _ := c.Waiters(ref, false); tok != 0 {
 		t.Error("ClearWaiters failed")
+	}
+}
+
+// A token must not be installed once the object has a holder the
+// installer did not see: the response that added it already detached
+// the object's waiters, so nothing would release the new entry.
+func TestSwapWaitersRefusesUnseenHolder(t *testing.T) {
+	c := testCache(vclock.NewFake())
+	ref, _, _ := c.Add("/f", bitvec.Of(0, 1), 0)
+	c.Update("/f", ref.Hash(), 1, true, false) // server 1 stages it
+	if c.SwapWaiters(ref, false, 0, 7, 0) {
+		t.Fatal("installed a token over an unseen holder")
+	}
+	tok, v, ok := c.Waiters(ref, false)
+	if !ok || tok != 0 || v.Vp != bitvec.Of(1) {
+		t.Fatalf("Waiters = %d %+v %v", tok, v, ok)
+	}
+	// A holder the caller saw (and could not select) does not block it.
+	if !c.SwapWaiters(ref, false, 0, 7, bitvec.Of(1)) {
+		t.Fatal("refused a token although every holder was seen")
+	}
+	if tok, _, _ := c.Waiters(ref, false); tok != 7 {
+		t.Fatalf("token = %d, want 7", tok)
 	}
 }
 

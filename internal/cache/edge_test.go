@@ -85,7 +85,7 @@ func TestRecycledObjectIsClean(t *testing.T) {
 		t.Fatalf("recycled object carried stale vectors: %+v", v)
 	}
 	nref, _, _ := c.Fetch(newName, bitvec.Of(5), 0)
-	if tok, ok := c.Waiters(nref, false); !ok || tok != 0 {
+	if tok, _, ok := c.Waiters(nref, false); !ok || tok != 0 {
 		t.Fatalf("recycled object carried a stale waiter token: %d", tok)
 	}
 	// All old-ref operations fail.
@@ -98,7 +98,7 @@ func TestRecycledObjectIsClean(t *testing.T) {
 	if c.SetWaiters(ref, true, 7) {
 		t.Error("stale ref SetWaiters succeeded")
 	}
-	if c.SwapWaiters(ref, false, 0, 7) {
+	if c.SwapWaiters(ref, false, 0, 7, 0) {
 		t.Error("stale ref SwapWaiters succeeded")
 	}
 	if c.Evict(ref, 0) {

@@ -309,7 +309,9 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 	for {
 		reply, err := cl.rpc(addr, m)
 		if err != nil {
-			sp.End("error " + addr)
+			if sp != nil {
+				sp.End("error " + addr)
+			}
 			return nil, addr, err
 		}
 		// A walk requests a refresh at most once: re-sending Refresh on
@@ -327,7 +329,9 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 			// redirects to another redirector (CtlAddr set) are
 			// followed for location queries.
 			if isLocate && r.CtlAddr == "" {
-				sp.End("redirect " + r.Addr)
+				if sp != nil {
+					sp.End("redirect " + r.Addr)
+				}
 				return reply, addr, nil
 			}
 			hops++
@@ -362,7 +366,9 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 			sp.Event("shed", d.String())
 			cl.cfg.Clock.Sleep(d)
 		default:
-			sp.End(fmt.Sprintf("%T from %s", reply, addr))
+			if sp != nil {
+				sp.End(fmt.Sprintf("%T from %s", reply, addr))
+			}
 			return reply, addr, nil
 		}
 	}

@@ -387,12 +387,19 @@ func TestSlotReuseUnderDropRace(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		var wg sync.WaitGroup
 		for i := 0; i < MaxMembers; i++ {
+			// A re-login that loses to the drop takes the lowest free
+			// slot, so members move between slots; race the one in
+			// slot i now.
+			m, ok := tb.Member(i)
+			if !ok {
+				t.Fatalf("round %d: slot %d empty", round, i)
+			}
 			gen, ok := tb.DisconnectManual(i)
 			if !ok {
 				t.Fatalf("round %d: member %d not online", round, i)
 			}
 			wg.Add(2)
-			name := fmt.Sprintf("n%d", i)
+			name := m.Name
 			go func() {
 				defer wg.Done()
 				tb.MaybeDrop(i, gen)

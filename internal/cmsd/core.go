@@ -155,9 +155,16 @@ type Core struct {
 
 	// inflight tracks query floods whose processing deadline has not
 	// passed, so MemberDown can re-flood the ones a dying member leaves
-	// unanswered (graceful degradation inside the 5 s window).
+	// unanswered (graceful degradation inside the 5 s window). floods
+	// holds their QIDs in issue order from floodHead on; every flood's
+	// deadline is its issue time plus FullDelay, read under inflightMu,
+	// so issue order is deadline order and the expired floods are always
+	// a prefix. QIDs whose flood a Have or member event already removed
+	// are skipped when they reach the head.
 	inflightMu sync.Mutex
 	inflight   map[uint64]inflightFlood
+	floods     []uint64
+	floodHead  int
 
 	stop    chan struct{}
 	stopped atomic.Bool
@@ -287,10 +294,14 @@ func (c *Core) Resolve(req Request) Outcome {
 	switch out.Kind {
 	case KindRedirect:
 		c.reg.Counter("resolve.redirect").Inc()
-		sp.End("redirect " + out.Addr)
+		if sp != nil {
+			sp.End("redirect " + out.Addr)
+		}
 	case KindWait:
 		c.reg.Counter("resolve.wait").Inc()
-		sp.End(fmt.Sprintf("wait %dms", out.Millis))
+		if sp != nil {
+			sp.End(fmt.Sprintf("wait %dms", out.Millis))
+		}
 	case KindNoEnt:
 		c.reg.Counter("resolve.noent").Inc()
 		sp.End("noent")
@@ -361,7 +372,7 @@ func (c *Core) resolve(req Request, sp *obs.Span) Outcome {
 		// A deadline is pending: some other thread is querying. Defer
 		// via the fast response queue.
 		sp.Event("defer", "deadline pending")
-		return c.parkAndWait(ref, req.Write, avoid, sp)
+		return c.parkAndWait(ref, view, req.Write, avoid, sp)
 	}
 
 	// Every candidate left in Vq may be offline — disconnected but
@@ -378,7 +389,7 @@ func (c *Core) resolve(req Request, sp *obs.Span) Outcome {
 			return c.notFound(path, vm, req, sp)
 		}
 		sp.Event("defer", "all candidates offline")
-		return c.parkAndWait(ref, req.Write, avoid, sp)
+		return c.parkAndWait(ref, view, req.Write, avoid, sp)
 	}
 
 	// Step 4/5: Vq is non-empty. Exactly one thread issues the queries;
@@ -393,13 +404,18 @@ func (c *Core) resolve(req Request, sp *obs.Span) Outcome {
 	}
 	if !claimed {
 		sp.Event("defer", "another thread querying")
-		return c.parkAndWait(ref, req.Write, avoid, sp)
+		return c.parkAndWait(ref, view, req.Write, avoid, sp)
 	}
 
-	parked, waitCh := c.park(ref, req.Write)
+	// The claim obliges us to query Vq, even should a holder turn up
+	// while we park.
+	waitCh, out, st := c.park(ref, view, req.Write, avoid)
 	sp.Event("park", "")
 	c.broadcast(ref, view.Vq, req.Write, sp)
-	if !parked {
+	switch st {
+	case parkHeld:
+		return out
+	case parkFull:
 		// Queue full: the client pays the full delay (Section III-B1).
 		sp.Event("respq.full", "")
 		return Outcome{Kind: KindWait, Millis: c.fullDelayMillis()}
@@ -478,45 +494,83 @@ func ctlIfRedirector(m cluster.Member) string {
 	return ""
 }
 
+// parkState says how park left the caller.
+type parkState int
+
+const (
+	// parked: the waiter sits on a response-queue entry the object's
+	// next positive response releases.
+	parked parkState = iota
+	// parkFull: the queue is full (or the reference went stale); the
+	// client pays the full delay (Section III-B1).
+	parkFull
+	// parkHeld: a holder appeared while parking; the caller answers with
+	// the redirect park returned instead of waiting.
+	parkHeld
+)
+
 // park adds a waiter for ref to the fast response queue, joining the
-// existing entry when one is live. It returns the channel the outcome
-// arrives on; parked=false means the queue is full.
-func (c *Core) park(ref cache.Ref, write bool) (parked bool, ch chan respq.Result) {
-	ch = make(chan respq.Result, 2)
+// existing entry when one is live, and returns the channel the outcome
+// arrives on. view is what the caller's failed selection saw. A fresh
+// entry is installed only while the object has no holder outside that
+// view: a positive response landing after the view was read has already
+// detached and released the object's token, so an entry installed after
+// it would be released by nothing and expire into the full delay. When
+// such a holder appears, park re-selects and returns the redirect.
+func (c *Core) park(ref cache.Ref, view cache.View, write bool, avoid int) (chan respq.Result, Outcome, parkState) {
+	ch := make(chan respq.Result, 2)
 	w := func(r respq.Result) {
 		select {
 		case ch <- r:
 		default: // double delivery from a lost swap race; drop
 		}
 	}
-	tok, ok := c.cache.Waiters(ref, write)
-	if !ok {
-		return false, ch
+	seen := view.Vh.Union(view.Vp)
+	var ntok uint64 // our own entry once allocated, reused across retries
+	for {
+		tok, cur, ok := c.cache.Waiters(ref, write)
+		if !ok {
+			return ch, Outcome{}, parkFull
+		}
+		if !cur.Vh.Union(cur.Vp).Minus(seen).IsEmpty() {
+			if out, done := c.redirectFrom(cur, write, avoid); done {
+				if ntok != 0 {
+					// Answer our uninstalled entry as the response would
+					// have, so it leaves the queue now, not at expiry.
+					c.queue.Release(ntok, out.Index, out.Pending)
+				}
+				return ch, out, parkHeld
+			}
+			seen = cur.Vh.Union(cur.Vp) // the new holders cannot serve this client
+		}
+		if tok != 0 && c.queue.Join(tok, w) {
+			// An entry of ours left uninstalled by a lost install race
+			// simply expires (worst case w fires twice; the buffer guard
+			// above absorbs it).
+			return ch, Outcome{}, parked
+		}
+		if ntok == 0 {
+			var err error
+			if ntok, err = c.queue.NewEntry(w); err != nil {
+				return ch, Outcome{}, parkFull
+			}
+		}
+		if c.cache.SwapWaiters(ref, write, tok, ntok, seen) {
+			return ch, Outcome{}, parked
+		}
+		// Another thread installed an entry, or a response landed:
+		// re-read and join or re-select.
 	}
-	if tok != 0 && c.queue.Join(tok, w) {
-		return true, ch
-	}
-	ntok, err := c.queue.NewEntry(w)
-	if err != nil {
-		return false, ch
-	}
-	if c.cache.SwapWaiters(ref, write, tok, ntok) {
-		return true, ch
-	}
-	// Lost the installation race; try to join whoever won. Our orphaned
-	// entry simply expires (worst case w fires twice; the buffer guard
-	// above absorbs it).
-	tok2, ok2 := c.cache.Waiters(ref, write)
-	if ok2 && tok2 != 0 && c.queue.Join(tok2, w) {
-		return true, ch
-	}
-	return true, ch // rely on the orphan entry's own expiry
 }
 
 // parkAndWait parks and blocks for the outcome (deferral path).
-func (c *Core) parkAndWait(ref cache.Ref, write bool, avoid int, sp *obs.Span) Outcome {
-	parked, ch := c.park(ref, write)
-	if !parked {
+func (c *Core) parkAndWait(ref cache.Ref, view cache.View, write bool, avoid int, sp *obs.Span) Outcome {
+	ch, out, st := c.park(ref, view, write, avoid)
+	switch st {
+	case parkHeld:
+		sp.Event("park.held", "")
+		return out
+	case parkFull:
 		sp.Event("respq.full", "")
 		return Outcome{Kind: KindWait, Millis: c.fullDelayMillis()}
 	}
@@ -538,7 +592,9 @@ func (c *Core) await(ch chan respq.Result, avoid int, sp *obs.Span) Outcome {
 			sp.Event("respq.expired", "")
 			return Outcome{Kind: KindWait, Millis: c.fullDelayMillis()}
 		}
-		sp.Event("respq.release", fmt.Sprintf("server %d", r.Server))
+		if sp != nil {
+			sp.Event("respq.release", fmt.Sprintf("server %d", r.Server))
+		}
 		if r.Server == avoid {
 			return Outcome{Kind: KindWait, Millis: c.fullDelayMillis()}
 		}
@@ -575,23 +631,38 @@ func (c *Core) broadcast(ref cache.Ref, vq bitvec.Vec, write bool, sp *obs.Span)
 		c.reg.Counter("resolve.queries").Add(int64(queried.Count()))
 		c.noteFlood(q.QID, ref.Name(), write, queried)
 	}
-	sp.Event("flood", fmt.Sprintf("queried %d of %d", queried.Count(), vq.Count()))
+	if sp != nil {
+		sp.Event("flood", fmt.Sprintf("queried %d of %d", queried.Count(), vq.Count()))
+	}
 }
 
 // noteFlood registers an outstanding broadcast for MemberDown's re-flood
-// scan, pruning entries whose deadline already passed.
+// scan, pruning entries whose deadline already passed. Pruning pops only
+// the expired prefix of the issue-order ledger, so its cost is amortised
+// O(1) per flood however many unanswered floods are outstanding.
 func (c *Core) noteFlood(qid uint64, path string, write bool, queried bitvec.Vec) {
-	now := c.cfg.Clock.Now()
 	c.inflightMu.Lock()
-	for id, f := range c.inflight {
-		if now.After(f.deadline) {
+	now := c.cfg.Clock.Now() // under the lock: deadlines enter in order
+	for ; c.floodHead < len(c.floods); c.floodHead++ {
+		id := c.floods[c.floodHead]
+		if f, ok := c.inflight[id]; ok {
+			if !now.After(f.deadline) {
+				break
+			}
 			delete(c.inflight, id)
 		}
+	}
+	if c.floodHead > len(c.floods)/2 {
+		// Compact once the popped prefix is at least half the slice, so
+		// each QID is copied O(1) times on average.
+		c.floods = c.floods[:copy(c.floods, c.floods[c.floodHead:])]
+		c.floodHead = 0
 	}
 	c.inflight[qid] = inflightFlood{
 		path: path, write: write, queried: queried,
 		deadline: now.Add(c.cfg.FullDelay),
 	}
+	c.floods = append(c.floods, qid)
 	c.inflightMu.Unlock()
 }
 
@@ -694,7 +765,9 @@ func (c *Core) InflightFloods() []FloodInfo {
 // reflood re-broadcasts one interrupted query flood.
 func (c *Core) reflood(f inflightFlood, index int, why string) {
 	sp := c.tracer.Start("reflood", f.path)
-	sp.Event(why, fmt.Sprintf("server %d", index))
+	if sp != nil {
+		sp.Event(why, fmt.Sprintf("server %d", index))
+	}
 	vm := c.table.VmFor(f.path)
 	if vm.IsEmpty() {
 		sp.End("no exporters")
@@ -729,13 +802,15 @@ func (c *Core) HandleHave(index int, h proto.Have) int {
 		sp.End("dropped (name not cached)")
 		return 0 // response for an evicted or unknown name; drop
 	}
-	defer sp.End(fmt.Sprintf("server %d pending=%v", index, h.Pending))
 	released := 0
 	if res.ReadWaiters != 0 {
 		released += c.queue.Release(res.ReadWaiters, index, h.Pending)
 	}
 	if res.WriteWaiters != 0 {
 		released += c.queue.Release(res.WriteWaiters, index, h.Pending)
+	}
+	if sp != nil {
+		sp.End(fmt.Sprintf("server %d pending=%v", index, h.Pending))
 	}
 	return released
 }

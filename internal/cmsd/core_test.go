@@ -288,3 +288,23 @@ func TestOutcomeReplyMapping(t *testing.T) {
 		t.Error("noent mapping wrong")
 	}
 }
+
+// TestCachedResolveAllocsNothing gates the cached resolve — the path
+// every open of a known file takes at each redirector — at 0 allocs/op
+// with tracing off: span details are formatted only for a live span.
+func TestCachedResolveAllocsNothing(t *testing.T) {
+	rig := newCoreRig(t, 3, func(i int, q proto.Query) (bool, bool) {
+		return i == 1, false
+	})
+	if out := rig.core.Resolve(Request{Path: "/f"}); out.Kind != KindRedirect {
+		t.Fatalf("outcome = %+v", out)
+	}
+	var out Outcome
+	allocs := testing.AllocsPerRun(200, func() { out = rig.core.Resolve(Request{Path: "/f"}) })
+	if out.Kind != KindRedirect || out.Index != 1 {
+		t.Fatalf("cached outcome = %+v", out)
+	}
+	if allocs != 0 {
+		t.Fatalf("cached Resolve allocates %v times per call, want 0", allocs)
+	}
+}

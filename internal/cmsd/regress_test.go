@@ -130,3 +130,57 @@ func TestRespqFullImposesFullDelayNotSpin(t *testing.T) {
 		t.Fatalf("expired client got %+v, want the full-delay wait", r)
 	}
 }
+
+// TestDeferredParkAfterHaveIsNotStranded is the minimized regression for
+// a lost wake-up that stalled joined cold opens for the full delay: a
+// resolver that deferred read its view (nothing known, a flood out),
+// then the answering Have landed and detached the object's waiter token
+// before the resolver parked. The resolver then installed a fresh
+// response-queue entry that no response would ever release, so only
+// expiry answered it, with the full-delay wait. The fix refuses the
+// install once the object has a holder the view lacked and re-selects.
+func TestDeferredParkAfterHaveIsNotStranded(t *testing.T) {
+	rig := newManualRig(t, 2, 0)
+	c := rig.core
+
+	// A first reader misses, floods and parks.
+	first := make(chan Outcome, 1)
+	go func() { first <- c.Resolve(Request{Path: "/f"}) }()
+	<-rig.awaitCh
+
+	// A second reader reads its view while the flood is out.
+	ref, view, ok := c.cache.Fetch("/f", c.table.VmFor("/f"), c.table.OfflineVec())
+	if !ok || view.HasLocation() || !view.Vq.IsEmpty() {
+		t.Fatalf("view = %+v, %v; want nothing known, nothing left to ask", view, ok)
+	}
+
+	// Server 1 answers before the second reader parks.
+	floods := c.InflightFloods()
+	if len(floods) != 1 {
+		t.Fatalf("%d floods in flight, want 1", len(floods))
+	}
+	if n := c.HandleHave(1, proto.Have{QID: floods[0].QID, Path: "/f",
+		Hash: names.Hash("/f"), CanWrite: true}); n != 1 {
+		t.Fatalf("Have released %d waiters, want the first reader", n)
+	}
+	if out := <-first; out.Kind != KindRedirect || out.Index != 1 {
+		t.Fatalf("first reader got %+v, want redirect to server 1", out)
+	}
+
+	// The second reader now parks on the view it read before the Have.
+	second := make(chan Outcome, 1)
+	go func() { second <- c.parkAndWait(ref, view, false, -1, nil) }()
+	select {
+	case out := <-second:
+		if out.Kind != KindRedirect || out.Index != 1 {
+			t.Fatalf("second reader got %+v, want redirect to server 1", out)
+		}
+	case <-rig.awaitCh:
+		rig.clk.Advance(time.Second)
+		c.Queue().ExpireNow()
+		t.Fatalf("second reader parked on an entry nothing releases; expiry answered %+v", <-second)
+	}
+	if st := c.Queue().Stats(); st.InUse != 0 || st.Expired != 0 {
+		t.Errorf("queue stats %+v: want no entry left over or expired", st)
+	}
+}

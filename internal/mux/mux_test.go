@@ -59,9 +59,30 @@ func reorderServer(t *testing.T, net transport.Network, addr string, batch int, 
 				mu.Unlock()
 			}()
 		}
+		// Requests come through a channel so that a partial batch can be
+		// flushed once no further request is waiting: lock-step callers
+		// with one call outstanding each could otherwise never fill it.
+		frames := make(chan []byte)
+		go func() {
+			defer close(frames)
+			for {
+				frame, err := conn.Recv()
+				if err != nil {
+					return
+				}
+				frames <- frame
+			}
+		}()
 		for {
-			frame, err := conn.Recv()
-			if err != nil {
+			var frame []byte
+			var ok bool
+			select {
+			case frame, ok = <-frames:
+			default:
+				flush()
+				frame, ok = <-frames
+			}
+			if !ok {
 				return
 			}
 			m, sid, err := proto.UnmarshalStream(frame)

@@ -174,7 +174,9 @@ func (p *Proxy) fetchBlock(ent *entry, bi int64) proto.Message {
 	bs := p.cfg.BlockSize
 	reply, err := ent.mc.Call(proto.Read{FH: ent.fh, Off: bi * int64(bs), N: uint32(bs)}, p.cfg.RPCTimeout)
 	if err != nil {
-		sp.End("origin severed: " + err.Error())
+		if sp != nil {
+			sp.End("origin severed: " + err.Error())
+		}
 		p.invalidateEntry(ent)
 		return nil
 	}

@@ -180,10 +180,19 @@ func untoken(t uint64) (slotIdx int, tag uint32) {
 }
 
 // NewEntry allocates an anchor, parks w on it, and returns the token to
-// store in the location object. It returns ErrFull when every anchor is
-// occupied.
+// store in the location object. When every anchor is occupied it first
+// expires the entries that have outwaited a period, and returns ErrFull
+// only if none has.
 func (q *Queue) NewEntry(w Waiter) (uint64, error) {
 	q.mu.Lock()
+	var reaped []readyBatch
+	if len(q.free) == 0 {
+		// The clocked expiry reaps an entry between one and two periods
+		// after it was added, so about half the anchors of a full queue
+		// can belong to entries whose window has already passed. Reap
+		// them now rather than refuse the newcomer.
+		reaped = q.reap(q.cfg.Clock.Now())
+	}
 	if len(q.free) == 0 {
 		q.stats.Full++
 		q.mu.Unlock()
@@ -200,6 +209,10 @@ func (q *Queue) NewEntry(w Waiter) (uint64, error) {
 	tok := token(i, s.tag)
 	wasIdle := q.stats.InUse == 1
 	q.mu.Unlock()
+	q.noteExpired(reaped)
+	for _, b := range reaped {
+		q.deliver(b)
+	}
 	if wasIdle {
 		q.wake()
 	}
@@ -296,8 +309,17 @@ func (q *Queue) wake() {
 // It returns the batches to deliver.
 func (q *Queue) expire() []readyBatch {
 	now := q.cfg.Clock.Now()
-	var out []readyBatch
 	q.mu.Lock()
+	out := q.reap(now)
+	q.mu.Unlock()
+	q.noteExpired(out)
+	return out
+}
+
+// reap retires every entry that has waited at least one full period and
+// returns its waiters' Expired batches. Caller holds q.mu.
+func (q *Queue) reap(now time.Time) []readyBatch {
+	var out []readyBatch
 	for i := range q.slots {
 		s := &q.slots[i]
 		if s.inUse && now.Sub(s.addedAt) >= q.cfg.Period {
@@ -309,11 +331,13 @@ func (q *Queue) expire() []readyBatch {
 			out = append(out, readyBatch{waiters: ws, res: Result{Expired: true}})
 		}
 	}
-	q.mu.Unlock()
+	return out
+}
+
+func (q *Queue) noteExpired(out []readyBatch) {
 	if len(out) > 0 && q.cfg.OnExpired != nil {
 		q.cfg.OnExpired(len(out))
 	}
-	return out
 }
 
 // ExpireNow runs one expiry pass synchronously, delivering the Expired

@@ -140,6 +140,38 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
+// A full queue whose entries have outwaited a period — the clocked
+// expiry has not reached them yet — must reap them for a newcomer
+// instead of refusing it.
+func TestFullQueueReapsEntriesPastTheirWindow(t *testing.T) {
+	fc := vclock.NewFake()
+	q := New(Config{Slots: 2, Period: 133 * time.Millisecond, Clock: fc})
+	var old, young collector
+	if _, err := q.NewEntry(old.waiter()); err != nil {
+		t.Fatal(err)
+	}
+	fc.Advance(133 * time.Millisecond)
+	if _, err := q.NewEntry(young.waiter()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.NewEntry(func(Result) {}); err != nil {
+		t.Fatalf("NewEntry = %v with an entry past its window", err)
+	}
+	if rs := old.get(); len(rs) != 1 || !rs[0].Expired {
+		t.Fatalf("reaped waiter got %+v, want one Expired result", rs)
+	}
+	if rs := young.get(); len(rs) != 0 {
+		t.Fatalf("young waiter got %+v before its window passed", rs)
+	}
+	if st := q.Stats(); st.Full != 0 || st.Expired != 1 || st.InUse != 2 {
+		t.Errorf("stats = %+v, want Full 0, Expired 1, InUse 2", st)
+	}
+	// Every remaining entry is inside its window: the queue is full.
+	if _, err := q.NewEntry(func(Result) {}); err != ErrFull {
+		t.Fatalf("err = %v, want ErrFull", err)
+	}
+}
+
 func TestEntriesExpireAfterPeriod(t *testing.T) {
 	fc := vclock.NewFake()
 	q := New(Config{Slots: 4, Period: 133 * time.Millisecond, Clock: fc})
