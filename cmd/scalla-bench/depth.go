@@ -2,7 +2,7 @@ package main
 
 // The -depth4 mode: the tree-scaling table. It stands up depth-3
 // through depth-5 topologies (hundreds to thousands of simulated data
-// servers over real cmsd cores) in the deterministic tree harness and
+// servers over real cmsd cores) in the deterministic simulator and
 // reports, per shape, the resolve cost the paper's structured-cluster
 // argument predicts: hop counts bounded by the tree depth, messages per
 // resolve bounded by the flood fan-out, and end-to-end latency as the
@@ -19,16 +19,16 @@ import (
 
 // depthRow is one tree shape's scaling summary.
 type depthRow struct {
-	Servers int
-	Fanout  int
-	Depth   int // tree depth in node levels, servers included
-	Cores   int // redirector cores stood up
-	Ops     int
-	HopP50  int
-	HopMax  int
+	Servers   int
+	Fanout    int
+	Depth     int // tree depth in node levels, servers included
+	Cores     int // redirector cores stood up
+	Ops       int
+	HopP50    int
+	HopMax    int
 	MsgsPerOp float64 // (queries + haves) per completed resolve
-	LatP50  time.Duration
-	LatP99  time.Duration
+	LatP50    time.Duration
+	LatP99    time.Duration
 }
 
 // runDepth4 executes the scaling sweep. Each shape runs on a fixed seed
@@ -47,7 +47,7 @@ func runDepth4(quick bool) ([]depthRow, error) {
 	}
 	rows := make([]depthRow, 0, len(shapes))
 	for _, sh := range shapes {
-		res := detsim.RunTree(detsim.TreeConfig{
+		res := detsim.Run(detsim.Config{
 			Seed:    1,
 			Servers: sh.servers,
 			Fanout:  sh.fanout,
@@ -60,16 +60,16 @@ func runDepth4(quick bool) ([]depthRow, error) {
 			return rows, fmt.Errorf("depth sweep %d@%d completed no ops", sh.servers, sh.fanout)
 		}
 		rows = append(rows, depthRow{
-			Servers: res.Servers,
-			Fanout:  sh.fanout,
-			Depth:   res.Levels + 1,
-			Cores:   res.Cores,
-			Ops:     res.Ops,
-			HopP50:  res.HopP50,
-			HopMax:  res.HopMax,
+			Servers:   res.Servers,
+			Fanout:    sh.fanout,
+			Depth:     res.Levels + 1,
+			Cores:     res.Cores,
+			Ops:       res.Ops,
+			HopP50:    res.HopP50,
+			HopMax:    res.HopMax,
 			MsgsPerOp: float64(res.Queries+res.Haves) / float64(res.Ops),
-			LatP50:  res.LatP50,
-			LatP99:  res.LatP99,
+			LatP50:    res.LatP50,
+			LatP99:    res.LatP99,
 		})
 	}
 	return rows, nil

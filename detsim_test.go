@@ -11,10 +11,11 @@ import (
 	"scalla/internal/faults"
 )
 
-// The detsim sweep drives the deterministic simulation harness
-// (internal/detsim) across a band of seeds, with and without a fault
-// schedule, and asserts the model-checked invariants hold and every
-// seed replays to a byte-identical trace hash. Seed the band's origin
+// The detsim sweeps drive the deterministic simulator (internal/detsim)
+// across a band of seeds, with and without a fault schedule, and assert
+// the model-checked invariants hold and every seed replays to a
+// byte-identical trace hash. Two bands run on the one engine: a flat
+// cell (a depth-1 tree of 4 servers) and a depth-4 tree. Seed the band's origin
 // via DETSIM_SEED; on failure the offending seed is written to
 // detsim-failure-seed.txt so CI preserves the repro.
 //
@@ -51,29 +52,35 @@ func recordDetsimSeed(t *testing.T, seed int64) {
 	t.Logf("detsim: failing seed %d written to detsim-failure-seed.txt", seed)
 }
 
-// runDetsimSeed executes one seed twice in the given mode, checking
-// invariants and the replay guarantee. It reports success.
-func runDetsimSeed(t *testing.T, seed int64, plan faults.Plan, crashes int) bool {
+// runDetsimSeed executes one config twice, checking invariants and the
+// replay guarantee. It reports success.
+func runDetsimSeed(t *testing.T, cfg detsim.Config) bool {
 	t.Helper()
-	cfg := detsim.Config{Seed: seed, Plan: plan, Crashes: crashes}
 	a := detsim.Run(cfg)
 	if len(a.Violations) != 0 {
 		for _, v := range a.Violations {
-			t.Errorf("seed %d: invariant violation: %s", seed, v)
+			t.Errorf("%d servers, seed %d: invariant violation: %s", a.Servers, cfg.Seed, v)
 		}
 		return false
 	}
 	b := detsim.Run(cfg)
-	if a.Hash != b.Hash {
-		t.Errorf("seed %d: replay diverged: %s vs %s", seed, a.Hash, b.Hash)
+	if a.Hash != b.Hash || a.Lines != b.Lines {
+		t.Errorf("%d servers, seed %d: replay diverged: %s vs %s", a.Servers, cfg.Seed, a.Hash, b.Hash)
 		return false
 	}
 	return true
 }
 
-// TestDetsimSweep is the main model-checking sweep: 200 seeds in the
-// strict (fault-free) mode and the same 200 under the fault schedule
-// with crash/restart cycles, each run twice for the replay assertion.
+// cellCfg is one flat-cell simulation: the default depth-1 tree of 4
+// servers under one manager.
+func cellCfg(seed int64, plan faults.Plan, crashes int) detsim.Config {
+	return detsim.Config{Seed: seed, Plan: plan, Crashes: crashes}
+}
+
+// TestDetsimSweep is the main model-checking sweep over the flat cell:
+// 200 seeds in the strict (fault-free) mode and the same 200 under the
+// fault schedule with crash/restart cycles, each run twice for the
+// replay assertion.
 func TestDetsimSweep(t *testing.T) {
 	base := detsimSeed(t)
 	const seeds = 200
@@ -81,15 +88,15 @@ func TestDetsimSweep(t *testing.T) {
 	var ops, waits, staged, crashed int
 	for i := int64(0); i < seeds; i++ {
 		seed := base + i
-		if !runDetsimSeed(t, seed, faults.Plan{}, 0) {
+		if !runDetsimSeed(t, cellCfg(seed, faults.Plan{}, 0)) {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		if !runDetsimSeed(t, seed, plan, 2) {
+		if !runDetsimSeed(t, cellCfg(seed, plan, 2)) {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		r := detsim.Run(detsim.Config{Seed: seed, Plan: plan, Crashes: 2})
+		r := detsim.Run(cellCfg(seed, plan, 2))
 		ops += r.Ops
 		waits += r.Waits
 		staged += r.Staged
@@ -105,41 +112,21 @@ func TestDetsimSweep(t *testing.T) {
 
 // depth4Cfg is one depth-4 tree simulation: 1024 simulated servers at
 // fanout 16 over 69 real cmsd cores (manager → 4 supervisors → 64 leaf
-// supervisors → servers).
-func depth4Cfg(seed int64, plan faults.Plan, crashes, mgrRestarts int) detsim.TreeConfig {
-	return detsim.TreeConfig{
-		Seed: seed, Servers: 1024, Fanout: 16,
+// supervisors → servers), three ops per client over six paths.
+func depth4Cfg(seed int64, plan faults.Plan, crashes, mgrRestarts int) detsim.Config {
+	return detsim.Config{
+		Seed: seed, Servers: 1024, Fanout: 16, OpsPerClient: 3, Paths: 6,
 		Plan: plan, Crashes: crashes, ManagerRestarts: mgrRestarts,
 	}
-}
-
-// runDepth4Seed executes one depth-4 seed twice in the given mode,
-// checking invariants and the replay guarantee. It reports success.
-func runDepth4Seed(t *testing.T, seed int64, plan faults.Plan, crashes, mgrRestarts int) bool {
-	t.Helper()
-	cfg := depth4Cfg(seed, plan, crashes, mgrRestarts)
-	a := detsim.RunTree(cfg)
-	if len(a.Violations) != 0 {
-		for _, v := range a.Violations {
-			t.Errorf("depth-4 seed %d: invariant violation: %s", seed, v)
-		}
-		return false
-	}
-	b := detsim.RunTree(cfg)
-	if a.Hash != b.Hash {
-		t.Errorf("depth-4 seed %d: replay diverged: %s vs %s", seed, a.Hash, b.Hash)
-		return false
-	}
-	return true
 }
 
 // TestDetsimDepth4Sweep pushes the tree past its single-cell shape: 200
 // seeds over depth-4 topologies with ≥1k simulated servers, strict and
 // faulted (frame faults + server churn + a manager restart re-login
-// storm), each run twice for the replay assertion. The per-core
-// invariants — vector disjointness, flood uniqueness, respq
-// conservation, exactly-once waiter delivery — must hold at every level
-// of the tree.
+// storm), each run twice for the replay assertion. The invariants —
+// vector disjointness, flood uniqueness, respq conservation, the Vp
+// staging fence, exactly-once waiter delivery — must hold at every
+// level of the tree.
 func TestDetsimDepth4Sweep(t *testing.T) {
 	base := detsimSeed(t)
 	// A depth-4 run stands up 69 real cores, so the full 200-seed band
@@ -150,23 +137,24 @@ func TestDetsimDepth4Sweep(t *testing.T) {
 		seeds = 200
 	}
 	plan := detsimPlan()
-	var ops, waits, redirects, crashed, restarts int
+	var ops, waits, redirects, staged, crashed, restarts int
 	var queries, haves int64
 	hopMax := 0
 	for i := int64(0); i < seeds; i++ {
 		seed := base + i
-		if !runDepth4Seed(t, seed, faults.Plan{}, 0, 0) {
+		if !runDetsimSeed(t, depth4Cfg(seed, faults.Plan{}, 0, 0)) {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		if !runDepth4Seed(t, seed, plan, 4, 1) {
+		if !runDetsimSeed(t, depth4Cfg(seed, plan, 4, 1)) {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		r := detsim.RunTree(depth4Cfg(seed, plan, 4, 1))
+		r := detsim.Run(depth4Cfg(seed, plan, 4, 1))
 		ops += r.Ops
 		waits += r.Waits
 		redirects += r.Redirects
+		staged += r.Staged
 		crashed += r.Crashed
 		restarts += r.MgrRestarts
 		queries += r.Queries
@@ -175,11 +163,11 @@ func TestDetsimDepth4Sweep(t *testing.T) {
 			hopMax = r.HopMax
 		}
 	}
-	t.Logf("depth-4 sweep: base=%d seeds=%d ops=%d waits=%d redirects=%d queries=%d haves=%d crashed=%d mgrRestarts=%d hopMax=%d",
-		base, seeds, ops, waits, redirects, queries, haves, crashed, restarts, hopMax)
-	if ops == 0 || waits == 0 || redirects == 0 || crashed == 0 || restarts == 0 {
-		t.Errorf("depth-4 sweep went vacuous: ops=%d waits=%d redirects=%d crashed=%d mgrRestarts=%d",
-			ops, waits, redirects, crashed, restarts)
+	t.Logf("depth-4 sweep: base=%d seeds=%d ops=%d waits=%d redirects=%d queries=%d haves=%d staged=%d crashed=%d mgrRestarts=%d hopMax=%d",
+		base, seeds, ops, waits, redirects, queries, haves, staged, crashed, restarts, hopMax)
+	if ops == 0 || waits == 0 || redirects == 0 || staged == 0 || crashed == 0 || restarts == 0 {
+		t.Errorf("depth-4 sweep went vacuous: ops=%d waits=%d redirects=%d staged=%d crashed=%d mgrRestarts=%d",
+			ops, waits, redirects, staged, crashed, restarts)
 	}
 }
 
@@ -189,12 +177,12 @@ func TestDetsimDepth4Sweep(t *testing.T) {
 func TestDetsimDepth4SeedReplay(t *testing.T) {
 	seed := detsimSeed(t)
 	cfg := depth4Cfg(seed, detsimPlan(), 4, 1)
-	a := detsim.RunTree(cfg)
-	b := detsim.RunTree(cfg)
-	if a.Hash != b.Hash || a.Steps != b.Steps {
+	a := detsim.Run(cfg)
+	b := detsim.Run(cfg)
+	if a.Hash != b.Hash || a.Lines != b.Lines || a.Steps != b.Steps {
 		recordDetsimSeed(t, seed)
-		t.Fatalf("depth-4 seed %d: runs diverged: %s/%d vs %s/%d",
-			seed, a.Hash, a.Steps, b.Hash, b.Steps)
+		t.Fatalf("depth-4 seed %d: runs diverged: %s/%d/%d vs %s/%d/%d",
+			seed, a.Hash, a.Lines, a.Steps, b.Hash, b.Lines, b.Steps)
 	}
 	for _, v := range a.Violations {
 		t.Errorf("depth-4 seed %d: %s", seed, v)
@@ -209,7 +197,7 @@ func TestDetsimDepth4SeedReplay(t *testing.T) {
 // cheapest repro entry point for a failing nightly seed.
 func TestDetsimSeedReplay(t *testing.T) {
 	seed := detsimSeed(t)
-	cfg := detsim.Config{Seed: seed, Plan: detsimPlan(), Crashes: 2}
+	cfg := cellCfg(seed, detsimPlan(), 2)
 	a := detsim.Run(cfg)
 	b := detsim.Run(cfg)
 	if a.Hash != b.Hash || a.Lines != b.Lines || a.Steps != b.Steps {

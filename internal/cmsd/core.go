@@ -535,18 +535,20 @@ func (c *Core) park(ref cache.Ref, view cache.View, write bool, avoid int) (chan
 		if !cur.Vh.Union(cur.Vp).Minus(seen).IsEmpty() {
 			if out, done := c.redirectFrom(cur, write, avoid); done {
 				if ntok != 0 {
-					// Answer our uninstalled entry as the response would
-					// have, so it leaves the queue now, not at expiry.
-					c.queue.Release(ntok, out.Index, out.Pending)
+					// Our uninstalled entry has nobody to answer: the
+					// caller takes the redirect instead.
+					c.queue.Withdraw(ntok)
 				}
 				return ch, out, parkHeld
 			}
 			seen = cur.Vh.Union(cur.Vp) // the new holders cannot serve this client
 		}
 		if tok != 0 && c.queue.Join(tok, w) {
-			// An entry of ours left uninstalled by a lost install race
-			// simply expires (worst case w fires twice; the buffer guard
-			// above absorbs it).
+			if ntok != 0 {
+				// We lost the install race: w now waits on the winner's
+				// entry, and ours, never published, would only expire.
+				c.queue.Withdraw(ntok)
+			}
 			return ch, Outcome{}, parked
 		}
 		if ntok == 0 {

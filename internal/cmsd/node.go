@@ -54,11 +54,11 @@ type NodeConfig struct {
 	Core Config
 	// StageWaitMillis is the wait hint while files stage. Default 300.
 	StageWaitMillis uint32
-	// DataWorkers bounds how many pipelined requests one data-plane
-	// connection may execute concurrently (stream-multiplexed dispatch,
-	// DESIGN.md §8). 1 restores strictly serial per-connection service.
-	// Default 8 on servers, 16 on redirectors (whose handlers may block
-	// in the fast response queue for a full delay).
+	// DataWorkers sizes the node's data-plane scheduler: how many
+	// requests execute concurrently summed over all of its data
+	// connections (DESIGN.md §11). Default 8 on servers, 16 on
+	// redirectors (whose handlers may block in the fast response queue
+	// for a full delay).
 	DataWorkers int
 	// DispatchQueue bounds queued-but-not-executing data-plane requests
 	// across all of the node's data connections; arrivals beyond it shed

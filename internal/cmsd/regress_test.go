@@ -184,3 +184,113 @@ func TestDeferredParkAfterHaveIsNotStranded(t *testing.T) {
 		t.Errorf("queue stats %+v: want no entry left over or expired", st)
 	}
 }
+
+// TestLostInstallRaceWithdrawsOrphanEntry is the minimized regression
+// for response-queue entries that expired empty under cold-open races:
+// two resolvers parked on a path nobody had looked up, the loser
+// allocated its entry, found the winner's already installed and joined
+// it — leaving its own entry, never published, to sit in the queue
+// until expiry. The fix withdraws the orphan the moment the loser
+// joins.
+func TestLostInstallRaceWithdrawsOrphanEntry(t *testing.T) {
+	clk := vclock.NewFake()
+	awaitCh := make(chan struct{})
+	var hook func()
+	core := NewCore(Config{
+		Manual:    true,
+		OnAwait:   func() { awaitCh <- struct{}{} },
+		Clock:     clk,
+		FullDelay: 5 * time.Second,
+		Cache:     cache.Config{InitialBuckets: 89},
+		// Expiry passes run on the allocating goroutine when the queue
+		// is full, between the loser's allocation and its install.
+		Queue: respq.Config{Slots: 2, OnExpired: func(int) {
+			if h := hook; h != nil {
+				hook = nil
+				h()
+			}
+		}},
+	})
+	t.Cleanup(core.Close)
+	if _, _, err := core.Table().Login(cluster.Member{
+		Name: "srva", Role: proto.RoleServer, DataAddr: "srva:data",
+		Prefixes: names.NewPrefixSet("/"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	core.SetQuerySender(func(int, proto.Query) bool { return true })
+
+	// Fill both anchors with readers that will have outwaited the fast
+	// window by the time the race starts.
+	olds := make(chan Outcome, 2)
+	for _, p := range []string{"/old0", "/old1"} {
+		go func() { olds <- core.Resolve(Request{Path: p}) }()
+		<-awaitCh
+	}
+	clk.Advance(time.Second)
+
+	// The loser claims /x, allocates (reaping both old entries), and —
+	// inside that allocation — the winner parks on /x first.
+	winner := make(chan Outcome, 1)
+	staged := make(chan struct{})
+	hook = func() {
+		go func() { winner <- core.Resolve(Request{Path: "/x"}) }()
+		<-awaitCh
+		close(staged)
+	}
+	loser := make(chan Outcome, 1)
+	go func() { loser <- core.Resolve(Request{Path: "/x"}) }()
+	select {
+	case <-staged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the loser's allocation never ran an expiry pass; the race was not staged")
+	}
+	<-awaitCh // the loser parked too
+	for i := 0; i < 2; i++ {
+		if out := <-olds; out.Kind != KindWait {
+			t.Fatalf("expired reader got %+v, want wait", out)
+		}
+	}
+
+	st := core.Queue().Stats()
+	if st.InUse != 1 || st.Withdrawn != 1 {
+		t.Fatalf("after the race: %d entries in use, %d withdrawn; want the shared entry only (1, 1)",
+			st.InUse, st.Withdrawn)
+	}
+
+	// One Have answers both resolvers through the shared entry.
+	var qids []uint64
+	for _, f := range core.InflightFloods() {
+		if f.Path == "/x" {
+			qids = append(qids, f.QID)
+		}
+	}
+	if len(qids) != 1 {
+		t.Fatalf("%d floods for /x in flight, want 1", len(qids))
+	}
+	if n := core.HandleHave(0, proto.Have{QID: qids[0], Path: "/x",
+		Hash: names.Hash("/x"), CanWrite: true}); n != 2 {
+		t.Fatalf("Have released %d waiters, want both resolvers", n)
+	}
+	for _, ch := range []chan Outcome{winner, loser} {
+		if out := <-ch; out.Kind != KindRedirect || out.Index != 0 {
+			t.Fatalf("resolver got %+v, want redirect to server 0", out)
+		}
+	}
+
+	// Nothing is left to expire empty.
+	clk.Advance(time.Second)
+	if n := core.Queue().ExpireNow(); n != 0 {
+		t.Errorf("expiry answered %d waiters after every resolver was served", n)
+	}
+	st = core.Queue().Stats()
+	if st.InUse != 0 || st.Expired != 2 {
+		t.Errorf("final stats %+v: want no entry in use and only the two old readers expired", st)
+	}
+	if st.Entries != st.Released+st.Expired+st.Withdrawn+int64(st.InUse) {
+		t.Errorf("entry conservation broken: %+v", st)
+	}
+	if st.Entries+st.Joins != st.ReleasedWaiters+st.ExpiredWaiters+st.Withdrawn {
+		t.Errorf("waiter conservation broken: %+v", st)
+	}
+}

@@ -1,32 +1,31 @@
 package detsim
 
-// tree.go extends the deterministic harness from one supervisor cell to
-// a full depth-4 tree: a real cmsd.Core per redirector (manager →
-// supervisor → supervisor), thousands of simulated data servers at the
+// tree.go is the simulation engine: a real cmsd.Core per redirector
+// (manager → supervisor → supervisor), simulated data servers at the
 // leaves, one discrete-event scheduler and one seeded RNG owning every
-// nondeterministic choice, exactly as in the flat harness (sim.go).
-//
-// The structural differences from the flat harness:
+// nondeterministic choice.
 //
 //   - Resolutions exist at every level. A client operation is a walk:
 //     resolve at the root, follow the redirect to a child supervisor,
 //     resolve there, and so on until a leaf core vectors it at a data
 //     server. Each hop is a scheduler event, so hop counts and
-//     messages-per-resolve are measured, not assumed.
+//     messages-per-resolve are measured, not assumed. In a flat cell
+//     the root is the leaf and every walk is one hop.
 //   - A Query delivered to a supervisor spawns a query proc: an async
 //     resolve on that supervisor's core (exactly node.go's handleQuery),
 //     whose outcome — if and only if it is a redirect — travels back up
 //     as a Have echoing the parent's QID. Silence otherwise.
-//   - The per-core invariants (vector disjointness, flood uniqueness,
-//     respq conservation, exactly-once delivery) are checked for every
-//     core in the tree, with a per-core parked-proc ledger.
+//   - A Query delivered to a data server is answered synchronously: an
+//     online copy is a definitive Have, a mass-storage copy a pending
+//     Have plus a staging request whose completion is a scheduled
+//     event, silence otherwise.
 //   - Depth-aware deadlines run through the production path: each
 //     core's cmsd.Config.Levels is its redirector height, so the root's
 //     processing deadline covers the whole subtree (Section III-C1).
 //   - Manager restart is modeled: the root core closes (parked clients
 //     get the full-delay wait through the production stop path), a
-//     fresh core replaces it, and the child supervisors re-login
-//     staggered by slot index over RejoinSpread — the bounded
+//     fresh core replaces it, and the root's children re-login
+//     staggered by slot index over rejoinSpread — the bounded
 //     re-subscription storm of node.go's parentLoop.
 //
 // All RNG and event-heap access happens either on the scheduler
@@ -37,7 +36,6 @@ package detsim
 import (
 	"container/heap"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"time"
@@ -54,201 +52,19 @@ import (
 	"scalla/internal/vclock"
 )
 
-// TreeConfig parameterizes one tree simulation. Zero values default.
-type TreeConfig struct {
-	// Seed fully determines the run.
-	Seed int64
-
-	// Servers is the number of simulated data servers (default 1024,
-	// max 16384).
-	Servers int
-	// Fanout is the maximum children per redirector (default 16, max
-	// cluster.MaxMembers). Servers and Fanout together fix the tree
-	// depth: 1024 servers at fanout 16 is a depth-4 tree (root → 4
-	// supervisors → 64 supervisors → servers).
-	Fanout int
-	// Clients is the number of concurrent client processes. Default 4.
-	Clients int
-	// OpsPerClient is how many operations each client performs. Default 3.
-	OpsPerClient int
-	// Paths sizes the preloaded namespace. Default 6.
-	Paths int
-	// Slots sizes each core's fast response queue. Default 64.
-	Slots int
-
-	// MinLatency and MaxLatency bound one-way frame latency. Defaults
-	// 1 ms and 10 ms.
-	MinLatency time.Duration
-	MaxLatency time.Duration
-
-	// Plan, when active, injects frame faults on every tree link.
-	Plan faults.Plan
-	// Crashes is how many server crash/restart cycles to schedule.
-	Crashes int
-	// ManagerRestarts is how many root-core restart cycles to schedule:
-	// each closes the root core and re-forms its cell through the
-	// staggered re-login storm.
-	ManagerRestarts int
-	// RestartDelay is how long a crashed server stays down. Default 5 s.
-	RestartDelay time.Duration
-
-	// FullDelay is the per-level full delay; each core's effective
-	// processing deadline is FullDelay × its redirector height
-	// (cmsd.Config.Levels). Default 1 s.
-	FullDelay time.Duration
-	// Period is the fast-response clock period. Default 133 ms.
-	Period time.Duration
-	// Lifetime is the location-object lifetime. Default 1 minute.
-	Lifetime time.Duration
-	// DropDelay is the offline-to-drop grace. Default 30 s.
-	DropDelay time.Duration
-	// ReconnectDelay is the base redial delay a child waits before
-	// re-logging in after the root restarts. Default 200 ms.
-	ReconnectDelay time.Duration
-	// RejoinSpread bounds the re-login storm after a root restart,
-	// staggered by slot index as in cmsd.NodeConfig.RejoinSpread.
-	// Default 4× ReconnectDelay.
-	RejoinSpread time.Duration
-
-	// MaxOpTime bounds one client operation end to end. Default
-	// 12 × FullDelay × depth (a strict-mode deep create pays roughly
-	// the triangular sum of the per-level deadlines).
-	MaxOpTime time.Duration
-	// MaxSimTime bounds the simulated clock. Default 10 minutes.
-	MaxSimTime time.Duration
-
-	// CheckEvery runs the full per-core invariant scan every N scheduler
-	// steps (always at the end). Default 1; large trees default to 64 so
-	// the scan cost does not dominate the run.
-	CheckEvery int
-
-	// Debug, when non-nil, receives every trace line.
-	Debug io.Writer
-}
-
-func (c TreeConfig) withDefaults() TreeConfig {
-	if c.Servers <= 0 {
-		c.Servers = 1024
-	}
-	if c.Servers > 16384 {
-		c.Servers = 16384
-	}
-	if c.Fanout <= 1 {
-		c.Fanout = 16
-	}
-	if c.Fanout > cluster.MaxMembers {
-		c.Fanout = cluster.MaxMembers
-	}
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	if c.OpsPerClient <= 0 {
-		c.OpsPerClient = 3
-	}
-	if c.Paths <= 0 {
-		c.Paths = 6
-	}
-	if c.Slots <= 0 {
-		c.Slots = 64
-	}
-	if c.MinLatency <= 0 {
-		c.MinLatency = time.Millisecond
-	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = 10 * time.Millisecond
-	}
-	if c.MaxLatency < c.MinLatency {
-		c.MaxLatency = c.MinLatency
-	}
-	if c.RestartDelay <= 0 {
-		c.RestartDelay = 5 * time.Second
-	}
-	if c.FullDelay <= 0 {
-		c.FullDelay = time.Second
-	}
-	if c.Period <= 0 {
-		c.Period = 133 * time.Millisecond
-	}
-	if c.Lifetime <= 0 {
-		c.Lifetime = time.Minute
-	}
-	if c.DropDelay <= 0 {
-		c.DropDelay = 30 * time.Second
-	}
-	if c.ReconnectDelay <= 0 {
-		c.ReconnectDelay = 200 * time.Millisecond
-	}
-	if c.RejoinSpread == 0 {
-		c.RejoinSpread = 4 * c.ReconnectDelay
-	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 10 * time.Minute
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 1
-		if c.Servers >= 512 {
-			c.CheckEvery = 64
-		}
-	}
-	return c
-}
-
-func (c TreeConfig) strict() bool {
-	return !c.Plan.Active() && c.Crashes == 0 && c.ManagerRestarts == 0
-}
-
-// TreeResult summarizes one tree run.
-type TreeResult struct {
-	Seed  int64
-	Hash  string // trace digest; the replay assertion
-	Steps int    // scheduler steps executed
-
-	Levels  int // redirector levels (3 = depth-4 tree incl. servers)
-	Cores   int // redirector cores simulated
-	Servers int
-
-	Ops       int // client operations completed
-	Redirects int // client redirect outcomes (including interior hops)
-	Waits     int
-	NoEnts    int
-	Retries   int
-
-	Queries int64 // location-query frames sent, all levels
-	Haves   int64 // positive responses sent, all levels
-
-	HopP50 int // redirect hops per completed op, median
-	HopMax int
-
-	LatP50 time.Duration // simulated end-to-end op latency, median
-	LatP99 time.Duration
-
-	Crashed     int
-	MgrRestarts int
-
-	// Violations holds every invariant violation, in deterministic
-	// order. Empty means the run model-checked clean.
-	Violations []string
-}
-
-// RunTree executes one tree simulation to completion.
-func RunTree(cfg TreeConfig) TreeResult {
-	ts := newTreeSim(cfg.withDefaults())
-	return ts.run()
-}
-
 // ---------------------------------------------------------------------
 // Topology.
 
-// tchild is one slot of a redirector's subordinate set: a child
+// child is one slot of a redirector's subordinate set: a child
 // supervisor or a data server.
-type tchild struct {
-	sup *tredirector
-	srv *tserver
+type child struct {
+	sup *redirector
+	srv *server
 }
 
-// tredirector is one redirector node: a real cmsd.Core plus the tree
+// redirector is one redirector node: a real cmsd.Core plus the tree
 // wiring around it.
-type tredirector struct {
+type redirector struct {
 	id    int // global order for deterministic iteration; 0 = root
 	level int // 0 = root
 	name  string
@@ -256,33 +72,55 @@ type tredirector struct {
 	core *cmsd.Core
 	gen  uint64 // bumped when the core is replaced (root restart)
 
-	parent *tredirector
+	parent *redirector
 	pidx   int  // member index in the parent's table
 	joined bool // logged into the parent (false mid restart storm)
 
-	byIndex map[int]*tchild // member index → child
-	parked  int             // procs currently parked on this core
+	byIndex map[int]*child // member index → child
+	parked  int            // procs currently parked on this core
 }
 
-// tserver is one simulated data server: a real store, no goroutine —
+// server is one simulated data server: a real store, no goroutine —
 // query handling is an atomic scheduler sub-step.
-type tserver struct {
+type server struct {
 	id     int
 	name   string
-	leaf   *tredirector
-	idx    int // member index in the leaf's table
+	leaf   *redirector
+	idx    int  // member index in the leaf's table
+	joined bool // logged into the leaf (false mid root restart storm)
 	online bool
 	gen    uint64 // bumped per crash/restart; kills in-flight frames
 	st     *store.Store
+}
+
+// fileModel is the ground truth the harness validates redirects
+// against: which servers (by stable id) hold the file online and which
+// only in mass storage.
+type fileModel struct {
+	exists bool
+	online map[int]bool
+	mss    map[int]bool
+}
+
+func newFileModel() *fileModel {
+	return &fileModel{online: make(map[int]bool), mss: make(map[int]bool)}
+}
+
+func fileContent(path string) []byte { return []byte("data:" + path) }
+
+// stageKey identifies one in-flight stage for the Vp service fence.
+type stageKey struct {
+	sv   *server
+	path string
 }
 
 // ---------------------------------------------------------------------
 // Procs: one resolution in flight on some core.
 
 const (
-	tpIdle = iota
-	tpParked
-	tpDone
+	procIdle = iota
+	procParked
+	procDone
 )
 
 const (
@@ -290,16 +128,16 @@ const (
 	procQuery         // a supervisor answering its parent's Query
 )
 
-// tproc is one resolution process. Client procs walk the tree; query
+// proc is one resolution process. Client procs walk the tree; query
 // procs live and die on a single core and report upward via Have.
-type tproc struct {
+type proc struct {
 	id    int
 	kind  int
 	state int
-	at    *tredirector // core the current resolve runs on
+	at    *redirector // core the current resolve runs on
 
 	// Client-walk fields.
-	ops          []top
+	ops          []op
 	cur          int
 	attempts     int
 	hops         int
@@ -310,14 +148,13 @@ type tproc struct {
 	qid    uint64 // parent QID to echo upward
 	path   string
 	hash   uint32
-	write  bool
-	parent *tredirector
+	parent *redirector
 	egen   uint64 // at's core generation at spawn
 	pgen   uint64 // parent's core generation at spawn
 }
 
-// top is one client operation.
-type top struct {
+// op is one client operation.
+type op struct {
 	kind    string // "read", "create", "write", "refresh"
 	path    string
 	write   bool
@@ -325,60 +162,64 @@ type top struct {
 	refresh bool
 }
 
-// tdone is one finished resolution, reported back to the scheduler.
-type tdone struct {
-	p   *tproc
+// doneMsg is one finished resolution, reported back to the scheduler.
+type doneMsg struct {
+	p   *proc
 	out cmsd.Outcome
 }
 
 // ---------------------------------------------------------------------
 // Events.
 
-type tevKind int
+type evKind int
 
 const (
-	tevClientOp   tevKind = iota // start or retry one client walk step
-	tevQuery                     // deliver a Query to a supervisor or server
-	tevHave                      // deliver a Have to a redirector
-	tevRespqTick                 // fast-response clock, all cores
-	tevCacheTick                 // cache window tick, all cores
-	tevCrash                     // server crash
-	tevRestart                   // server restart
-	tevDrop                      // drop-delay lapse for an offline slot
-	tevMgrRestart                // root core restart
-	tevLogin                     // child supervisor (re-)login to the root
+	evClientOp   evKind = iota // start or retry one client walk step
+	evQuery                    // deliver a Query to a supervisor or server
+	evHave                     // deliver a Have to a redirector
+	evRespqTick                // fast-response clock, all cores
+	evCacheTick                // cache window tick, all cores
+	evCrash                    // server crash
+	evRestart                  // server restart
+	evDrop                     // drop-delay lapse for an offline slot
+	evStage                    // a staging request completes
+	evMgrRestart               // root core restart
+	evLogin                    // a root child's re-login after a restart
 )
 
-type tevent struct {
+// event is one scheduled occurrence. The heap orders by (due, seq), so
+// ties break in scheduling order and the execution is a total order.
+type event struct {
 	due  time.Time
 	seq  uint64
-	kind tevKind
+	kind evKind
 
-	p     *tproc
-	toR   *tredirector
-	toSrv *tserver
-	fromR *tredirector
+	p     *proc
+	toR   *redirector
+	fromR *redirector
+	srv   *server // a data server's end of the link (query target, Have source)
 	q     proto.Query
 	have  proto.Have
 	hIdx  int    // member index the Have claims to come from
 	egen  uint64 // receiving core generation at send time
 	sgen  uint64 // server connection generation at send time
-	idx   int    // table index for tevDrop
-	dgen  uint64 // cluster generation for tevDrop
+	idx   int    // table index for evDrop
+	dgen  uint64 // cluster generation for evDrop
+	path  string // for evStage
 }
 
-type tevHeapT []*tevent
+type evHeap []*event
 
-func (h tevHeapT) Len() int { return len(h) }
-func (h tevHeapT) Less(i, j int) bool {
+func (h evHeap) Len() int { return len(h) }
+func (h evHeap) Less(i, j int) bool {
 	if !h[i].due.Equal(h[j].due) {
 		return h[i].due.Before(h[j].due)
 	}
 	return h[i].seq < h[j].seq
 }
-func (h tevHeapT) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *tevHeapT) Push(x any)   { *h = append(*h, x.(*tevent)) }
-func (h *tevHeapT) Pop() any {
+func (h evHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *evHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *evHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
@@ -390,34 +231,52 @@ func (h *tevHeapT) Pop() any {
 // ---------------------------------------------------------------------
 // The simulation.
 
-// TreeSim is one running tree simulation. All fields are owned by the
-// scheduler goroutine; resolution goroutines touch shared state only
-// while the scheduler is blocked on their handshake.
-type TreeSim struct {
-	cfg   TreeConfig
+// sim is one running simulation. All fields are owned by the scheduler
+// goroutine; resolution goroutines touch shared state only while the
+// scheduler is blocked on their handshake.
+type sim struct {
+	cfg   Config
 	rng   *rand.Rand
 	clk   *vclock.Fake
 	epoch time.Time
 
 	levels  int // redirector levels
-	root    *tredirector
-	reds    []*tredirector // all redirectors, by id (root first)
-	servers []*tserver
-	clients []*tproc
+	root    *redirector
+	reds    []*redirector // all redirectors, by id (root first)
+	servers []*server
+	clients []*proc
 	files   map[string]*fileModel
 	nextPID int
 
-	eq  tevHeapT
+	eq  evHeap
 	seq uint64
 
-	awaitCh chan struct{}
-	done    chan tdone
+	awaitCh chan struct{} // park handshake from cmsd.Config.OnAwait
+	// done carries finished resolutions. Its buffer lets a released
+	// resolution finish without waiting for the scheduler, which counts
+	// completions by the ledger rather than pacing them.
+	done chan doneMsg
 
 	trace *obs.TraceHash
 	steps int
 
-	refreshGuard map[string]time.Time // root-core flood-uniqueness exemption
-	rootDeadline time.Duration        // FullDelay × levels
+	// checkEvery runs the full per-core invariant scan every N scheduler
+	// steps (always at the end): every step in small trees, every 64th
+	// in large ones so the scan does not dominate the run.
+	checkEvery int
+	// maxOpTime bounds one client operation end to end: 12 root
+	// deadlines (a strict-mode deep create pays roughly the triangular
+	// sum of the per-level deadlines).
+	maxOpTime time.Duration
+
+	// refreshGuard records, per path, until when a client-forced
+	// refresh at the root may coexist with an earlier live flood.
+	refreshGuard map[string]time.Time
+	rootDeadline time.Duration // fullDelay × levels
+	// staging holds the stages requested but not yet completed — the
+	// harness's Vp interval. Invariant 4 asserts no store serves bytes
+	// for a (server, path) inside it.
+	staging map[stageKey]bool
 
 	opsLeft    int
 	violations []string
@@ -427,114 +286,117 @@ type TreeSim struct {
 	opLat  []time.Duration
 	opHops []int
 
-	nRedirects, nWaits, nNoEnts, nRetries        int
-	nQueries, nHaves                             int64
-	nCrashed, nMgrRestarts                       int
+	nRedirects, nWaits, nNoEnts, nRetries int
+	nQueries, nHaves                      int64
+	nCrashed, nStaged, nMgrRestarts       int
 }
 
-func newTreeSim(cfg TreeConfig) *TreeSim {
-	ts := &TreeSim{
+func newSim(cfg Config) *sim {
+	s := &sim{
 		cfg:          cfg,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		clk:          vclock.NewFake(),
 		files:        make(map[string]*fileModel),
 		awaitCh:      make(chan struct{}),
-		done:         make(chan tdone, 4096),
+		done:         make(chan doneMsg, 4096),
 		trace:        obs.NewTraceHash(),
 		refreshGuard: make(map[string]time.Time),
+		staging:      make(map[stageKey]bool),
+		checkEvery:   1,
 	}
-	ts.epoch = ts.clk.Now()
-	ts.endTime = ts.epoch.Add(cfg.MaxSimTime)
-	ts.buildTree()
-	ts.rootDeadline = cfg.FullDelay * time.Duration(ts.levels)
-	if ts.cfg.MaxOpTime <= 0 {
-		ts.cfg.MaxOpTime = 12 * cfg.FullDelay * time.Duration(ts.levels)
+	if cfg.Servers >= 512 {
+		s.checkEvery = 64
 	}
-	ts.tracef("tree init seed=%d servers=%d fanout=%d levels=%d cores=%d clients=%d ops=%d paths=%d faults=%v crashes=%d mgrRestarts=%d",
-		cfg.Seed, cfg.Servers, cfg.Fanout, ts.levels, len(ts.reds),
+	s.epoch = s.clk.Now()
+	s.endTime = s.epoch.Add(maxSimTime)
+	s.buildTree()
+	s.rootDeadline = fullDelay * time.Duration(s.levels)
+	s.maxOpTime = 12 * s.rootDeadline
+	s.tracef("init seed=%d servers=%d fanout=%d levels=%d cores=%d clients=%d ops=%d paths=%d faults=%v crashes=%d mgrRestarts=%d",
+		cfg.Seed, cfg.Servers, cfg.Fanout, s.levels, len(s.reds),
 		cfg.Clients, cfg.OpsPerClient, cfg.Paths, cfg.Plan.Active(),
 		cfg.Crashes, cfg.ManagerRestarts)
-	ts.preload()
-	ts.buildClients()
-	ts.scheduleBackground()
-	return ts
+	s.preload()
+	s.buildClients()
+	s.scheduleBackground()
+	return s
 }
 
-// newTreeCore builds one redirector core at the given height (1 = leaf
-// supervisor) and installs its query sender.
-func (ts *TreeSim) newTreeCore(r *tredirector, height int) *cmsd.Core {
+// newCore builds one redirector core at the given height (1 = leaf)
+// and installs its query sender.
+func (s *sim) newCore(r *redirector, height int) *cmsd.Core {
 	core := cmsd.NewCore(cmsd.Config{
 		Manual:    true,
-		OnAwait:   func() { ts.awaitCh <- struct{}{} },
-		FullDelay: ts.cfg.FullDelay,
+		OnAwait:   func() { s.awaitCh <- struct{}{} },
+		FullDelay: fullDelay,
 		Levels:    height,
-		Clock:     ts.clk,
+		Clock:     s.clk,
 		Cache: cache.Config{
-			Lifetime:       ts.cfg.Lifetime,
+			Lifetime:       lifetime,
 			Shards:         4,
 			InitialBuckets: 64,
 			SyncSweep:      true,
 		},
-		Queue:   respq.Config{Slots: ts.cfg.Slots, Period: ts.cfg.Period},
-		Cluster: cluster.Config{DropDelay: ts.cfg.DropDelay, Capacity: ts.cfg.Fanout},
+		Queue:   respq.Config{Slots: slots, Period: period},
+		Cluster: cluster.Config{DropDelay: dropDelay, Capacity: s.cfg.Fanout},
 	})
 	gen := r.gen
-	sender := cmsd.QuerySender(func(index int, q proto.Query) bool {
-		return ts.sendTreeQuery(r, gen, index, q)
+	core.SetQuerySender(func(index int, q proto.Query) bool {
+		return s.sendQuery(r, gen, index, q)
 	})
-	core.SetQuerySender(sender)
 	return core
 }
 
 // buildTree constructs the redirector levels (widths computed bottom-up
-// exactly like StartCluster) and logs every node into its parent.
-func (ts *TreeSim) buildTree() {
+// exactly like StartCluster) and logs every node into its parent. Up to
+// Fanout servers log straight into the root: a depth-1 tree.
+func (s *sim) buildTree() {
 	var widths []int
-	for n := ts.cfg.Servers; n > ts.cfg.Fanout; {
-		n = (n + ts.cfg.Fanout - 1) / ts.cfg.Fanout
+	for n := s.cfg.Servers; n > s.cfg.Fanout; {
+		n = (n + s.cfg.Fanout - 1) / s.cfg.Fanout
 		widths = append([]int{n}, widths...)
 	}
-	ts.levels = len(widths) + 1
+	s.levels = len(widths) + 1
 
-	ts.root = &tredirector{id: 0, name: "root", pidx: -1, byIndex: make(map[int]*tchild)}
-	ts.root.core = ts.newTreeCore(ts.root, ts.levels)
-	ts.reds = []*tredirector{ts.root}
+	s.root = &redirector{id: 0, name: "root", pidx: -1, byIndex: make(map[int]*child)}
+	s.root.core = s.newCore(s.root, s.levels)
+	s.reds = []*redirector{s.root}
 
-	parents := []*tredirector{ts.root}
+	parents := []*redirector{s.root}
 	for li, w := range widths {
 		level := li + 1
-		next := make([]*tredirector, 0, w)
+		next := make([]*redirector, 0, w)
 		for i := 0; i < w; i++ {
-			r := &tredirector{
-				id:      len(ts.reds),
+			r := &redirector{
+				id:      len(s.reds),
 				level:   level,
 				name:    fmt.Sprintf("sup%d-%d", level, i),
 				parent:  parents[i%len(parents)],
-				byIndex: make(map[int]*tchild),
+				byIndex: make(map[int]*child),
 			}
-			r.core = ts.newTreeCore(r, ts.levels-level)
-			ts.loginSup(r)
-			ts.reds = append(ts.reds, r)
+			r.core = s.newCore(r, s.levels-level)
+			s.loginSup(r)
+			s.reds = append(s.reds, r)
 			next = append(next, r)
 		}
 		parents = next
 	}
 
-	for i := 0; i < ts.cfg.Servers; i++ {
-		sv := &tserver{
+	for i := 0; i < s.cfg.Servers; i++ {
+		sv := &server{
 			id:     i,
 			name:   fmt.Sprintf("s%d", i),
 			leaf:   parents[i%len(parents)],
 			online: true,
-			st:     store.New(store.Config{Clock: ts.clk}),
+			st:     store.New(store.Config{Clock: s.clk}),
 		}
-		ts.loginServer(sv)
-		ts.servers = append(ts.servers, sv)
+		s.loginServer(sv)
+		s.servers = append(s.servers, sv)
 	}
 }
 
 // loginSup registers supervisor r with its parent's table.
-func (ts *TreeSim) loginSup(r *tredirector) {
+func (s *sim) loginSup(r *redirector) {
 	idx, _, err := r.parent.core.Table().Login(cluster.Member{
 		Name:     r.name,
 		Role:     proto.RoleSupervisor,
@@ -544,16 +406,16 @@ func (ts *TreeSim) loginSup(r *tredirector) {
 		Free:     1 << 40,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("detsim tree: login %s: %v", r.name, err))
+		panic(fmt.Sprintf("detsim: login %s: %v", r.name, err))
 	}
 	r.pidx = idx
 	r.joined = true
-	r.parent.byIndex[idx] = &tchild{sup: r}
+	r.parent.byIndex[idx] = &child{sup: r}
 }
 
 // loginServer (re-)registers server sv with its leaf's table and fixes
 // the index mapping (a post-drop re-login may land in a new slot).
-func (ts *TreeSim) loginServer(sv *tserver) {
+func (s *sim) loginServer(sv *server) {
 	idx, _, err := sv.leaf.core.Table().Login(cluster.Member{
 		Name:     sv.name,
 		Role:     proto.RoleServer,
@@ -562,28 +424,39 @@ func (ts *TreeSim) loginServer(sv *tserver) {
 		Free:     sv.st.Free(),
 	})
 	if err != nil {
-		panic(fmt.Sprintf("detsim tree: login %s: %v", sv.name, err))
+		panic(fmt.Sprintf("detsim: login %s: %v", sv.name, err))
 	}
 	if old, ok := sv.leaf.byIndex[sv.idx]; ok && old.srv == sv && sv.idx != idx {
 		delete(sv.leaf.byIndex, sv.idx)
 	}
 	sv.idx = idx
-	sv.leaf.byIndex[idx] = &tchild{srv: sv}
+	sv.joined = true
+	sv.leaf.byIndex[idx] = &child{srv: sv}
 }
 
-func (ts *TreeSim) preload() {
-	for i := 0; i < ts.cfg.Paths; i++ {
+// preload places the namespace: a quarter of the paths do not exist;
+// each existing one has one or two holders, each of which holds it
+// online or — three times in ten — only in mass storage, to be staged
+// on first query.
+func (s *sim) preload() {
+	for i := 0; i < s.cfg.Paths; i++ {
 		path := fmt.Sprintf("/data/f%02d", i)
-		fm := &fileModel{online: make(map[int]bool), mss: make(map[int]bool)}
-		ts.files[path] = fm
-		if ts.rng.Float64() >= 0.8 {
-			continue // a fifth of the namespace does not exist
+		fm := newFileModel()
+		s.files[path] = fm
+		if s.rng.Float64() >= 0.75 {
+			continue
 		}
 		fm.exists = true
-		holders := ts.rng.Perm(ts.cfg.Servers)[:1+ts.rng.Intn(3)]
+		holders := s.rng.Perm(s.cfg.Servers)[:1+s.rng.Intn(2)]
 		sort.Ints(holders)
 		for _, h := range holders {
-			if err := ts.servers[h].st.Put(path, fileContent(path)); err != nil {
+			sv := s.servers[h]
+			if s.rng.Float64() < 0.3 {
+				sv.st.PutOffline(path, fileContent(path))
+				fm.mss[h] = true
+				continue
+			}
+			if err := sv.st.Put(path, fileContent(path)); err != nil {
 				panic(err)
 			}
 			fm.online[h] = true
@@ -591,128 +464,131 @@ func (ts *TreeSim) preload() {
 	}
 }
 
-func (ts *TreeSim) buildClients() {
-	for c := 0; c < ts.cfg.Clients; c++ {
-		p := &tproc{id: ts.nextPID, kind: procClient, at: ts.root}
-		ts.nextPID++
-		for k := 0; k < ts.cfg.OpsPerClient; k++ {
-			p.ops = append(p.ops, ts.drawTreeOp(c, k))
+func (s *sim) buildClients() {
+	for c := 0; c < s.cfg.Clients; c++ {
+		p := &proc{id: s.nextPID, kind: procClient, at: s.root}
+		s.nextPID++
+		for k := 0; k < s.cfg.OpsPerClient; k++ {
+			p.ops = append(p.ops, s.drawOp(c, k))
 		}
-		ts.clients = append(ts.clients, p)
-		ts.opsLeft += len(p.ops)
-		ts.schedule(ts.epoch.Add(ts.tjitter(50*time.Millisecond)),
-			&tevent{kind: tevClientOp, p: p})
+		s.clients = append(s.clients, p)
+		s.opsLeft += len(p.ops)
+		s.schedule(s.epoch.Add(s.jitter(50*time.Millisecond)),
+			&event{kind: evClientOp, p: p})
 	}
 }
 
-func (ts *TreeSim) drawTreeOp(client, k int) top {
-	r := ts.rng.Float64()
+func (s *sim) drawOp(client, k int) op {
+	r := s.rng.Float64()
 	switch {
 	case r < 0.55:
-		return top{kind: "read", path: ts.somePathT()}
+		return op{kind: "read", path: s.somePath()}
 	case r < 0.70:
-		return top{kind: "create", path: fmt.Sprintf("/new/c%d-n%d", client, k),
+		return op{kind: "create", path: fmt.Sprintf("/new/c%d-n%d", client, k),
 			write: true, create: true}
-	case r < 0.85:
-		return top{kind: "write", path: ts.somePathT(), write: true}
+	case r < 0.80:
+		return op{kind: "write", path: s.somePath(), write: true}
 	default:
-		return top{kind: "refresh", path: ts.somePathT(), refresh: true}
+		return op{kind: "refresh", path: s.somePath(), refresh: true}
 	}
 }
 
-func (ts *TreeSim) somePathT() string {
-	return fmt.Sprintf("/data/f%02d", ts.rng.Intn(ts.cfg.Paths))
+func (s *sim) somePath() string {
+	return fmt.Sprintf("/data/f%02d", s.rng.Intn(s.cfg.Paths))
 }
 
-func (ts *TreeSim) scheduleBackground() {
-	ts.schedule(ts.epoch.Add(ts.cfg.Period), &tevent{kind: tevRespqTick})
-	ts.schedule(ts.epoch.Add(ts.cfg.Lifetime/64), &tevent{kind: tevCacheTick})
-	for k := 0; k < ts.cfg.Crashes; k++ {
-		sv := ts.servers[ts.rng.Intn(ts.cfg.Servers)]
-		at := ts.epoch.Add(500*time.Millisecond + ts.tjitter(10*time.Second))
-		ts.schedule(at, &tevent{kind: tevCrash, toSrv: sv})
-		ts.schedule(at.Add(ts.cfg.RestartDelay), &tevent{kind: tevRestart, toSrv: sv})
+func (s *sim) scheduleBackground() {
+	s.schedule(s.epoch.Add(period), &event{kind: evRespqTick})
+	s.schedule(s.epoch.Add(lifetime/64), &event{kind: evCacheTick})
+	for k := 0; k < s.cfg.Crashes; k++ {
+		sv := s.servers[s.rng.Intn(s.cfg.Servers)]
+		at := s.epoch.Add(500*time.Millisecond + s.jitter(10*time.Second))
+		s.schedule(at, &event{kind: evCrash, srv: sv})
+		s.schedule(at.Add(restartDelay), &event{kind: evRestart, srv: sv})
 	}
-	for k := 0; k < ts.cfg.ManagerRestarts; k++ {
-		at := ts.epoch.Add(time.Second + ts.tjitter(10*time.Second))
-		ts.schedule(at, &tevent{kind: tevMgrRestart})
+	for k := 0; k < s.cfg.ManagerRestarts; k++ {
+		at := s.epoch.Add(time.Second + s.jitter(10*time.Second))
+		s.schedule(at, &event{kind: evMgrRestart})
 	}
 }
 
-// run is the scheduler loop.
-func (ts *TreeSim) run() TreeResult {
-	for len(ts.eq) > 0 && !ts.abort {
-		ev := heap.Pop(&ts.eq).(*tevent)
-		if ev.due.After(ts.endTime) {
-			ts.tracef("tree: time limit reached")
+// run is the scheduler loop: pop the next event, advance the one clock
+// to its due time, execute it, then model-check the world.
+func (s *sim) run() Result {
+	for len(s.eq) > 0 && !s.abort {
+		ev := heap.Pop(&s.eq).(*event)
+		if ev.due.After(s.endTime) {
+			s.tracef("sim: time limit reached")
 			break
 		}
-		ts.clk.AdvanceTo(ev.due)
-		ts.steps++
-		ts.texec(ev)
-		if ts.steps%ts.cfg.CheckEvery == 0 {
-			ts.checkTreeInvariants()
+		s.clk.AdvanceTo(ev.due)
+		s.steps++
+		s.exec(ev)
+		if s.steps%s.checkEvery == 0 {
+			s.checkInvariants()
 		}
 	}
-	ts.checkTreeInvariants()
-	return ts.finishTree()
+	s.checkInvariants()
+	return s.finish()
 }
 
-func (ts *TreeSim) texec(ev *tevent) {
+func (s *sim) exec(ev *event) {
 	switch ev.kind {
-	case tevClientOp:
-		ts.stepClientWalk(ev.p)
-	case tevQuery:
-		if ev.toSrv != nil {
-			ts.deliverServerQuery(ev)
+	case evClientOp:
+		s.stepClient(ev.p)
+	case evQuery:
+		if ev.srv != nil {
+			s.deliverServerQuery(ev)
 		} else {
-			ts.deliverSupQuery(ev)
+			s.deliverSupQuery(ev)
 		}
-	case tevHave:
-		ts.deliverTreeHave(ev)
-	case tevRespqTick:
-		for _, r := range ts.reds {
-			before := ts.ledger(r)
+	case evHave:
+		s.deliverHave(ev)
+	case evRespqTick:
+		for _, r := range s.reds {
+			before := s.ledger(r)
 			if n := r.core.Queue().ExpireNow(); n > 0 {
-				ts.tracef("t=%d respq expire %s waiters=%d", ts.tus(), r.name, n)
+				s.tracef("t=%d respq expire %s waiters=%d", s.us(), r.name, n)
 			}
-			ts.collectTreeReleased(r, before)
-			if ts.abort {
+			s.collectReleased(r, before)
+			if s.abort {
 				return
 			}
 		}
-		if ts.opsLeft > 0 {
-			ts.schedule(ts.clk.Now().Add(ts.cfg.Period), &tevent{kind: tevRespqTick})
+		if s.opsLeft > 0 {
+			s.schedule(s.clk.Now().Add(period), &event{kind: evRespqTick})
 		}
-	case tevCacheTick:
-		for _, r := range ts.reds {
+	case evCacheTick:
+		for _, r := range s.reds {
 			r.core.Cache().Tick()
 		}
-		if ts.opsLeft > 0 {
-			ts.schedule(ts.clk.Now().Add(ts.cfg.Lifetime/64), &tevent{kind: tevCacheTick})
+		if s.opsLeft > 0 {
+			s.schedule(s.clk.Now().Add(lifetime/64), &event{kind: evCacheTick})
 		}
-	case tevCrash:
-		ts.crashServer(ev.toSrv)
-	case tevRestart:
-		ts.restartServer(ev.toSrv)
-	case tevDrop:
-		ts.tracef("t=%d drop-delay lapsed %s idx=%d gen=%d", ts.tus(), ev.toR.name, ev.idx, ev.dgen)
+	case evCrash:
+		s.crashServer(ev.srv)
+	case evRestart:
+		s.restartServer(ev.srv)
+	case evDrop:
+		s.tracef("t=%d drop-delay lapsed %s idx=%d gen=%d", s.us(), ev.toR.name, ev.idx, ev.dgen)
 		ev.toR.core.Table().MaybeDrop(ev.idx, ev.dgen)
-	case tevMgrRestart:
-		ts.restartManager()
-	case tevLogin:
-		ts.execLogin(ev)
+	case evStage:
+		s.stageDone(ev.srv, ev.path)
+	case evMgrRestart:
+		s.restartManager()
+	case evLogin:
+		s.execLogin(ev)
 	}
 }
 
 // ---------------------------------------------------------------------
 // Query transmission and delivery.
 
-// sendTreeQuery is the QuerySender for redirector r: it validates the
-// link and schedules the delivery event after a latency/fault draw. It
-// runs either on the scheduler goroutine (refloods) or on a resolving
+// sendQuery is the QuerySender for redirector r: it validates the link
+// and schedules the delivery event after a latency/fault draw. It runs
+// either on the scheduler goroutine (refloods) or on a resolving
 // goroutine while the scheduler is blocked on its handshake.
-func (ts *TreeSim) sendTreeQuery(r *tredirector, gen uint64, index int, q proto.Query) bool {
+func (s *sim) sendQuery(r *redirector, gen uint64, index int, q proto.Query) bool {
 	if gen != r.gen {
 		return false // a replaced core's flood; the link died with it
 	}
@@ -724,127 +600,168 @@ func (ts *TreeSim) sendTreeQuery(r *tredirector, gen uint64, index int, q proto.
 		if !c.sup.joined {
 			return false
 		}
-		ts.nQueries++
-		ts.enqueueTree(&tevent{kind: tevQuery, toR: c.sup, fromR: r, q: q, egen: r.gen})
+		s.nQueries++
+		s.enqueue(&event{kind: evQuery, toR: c.sup, fromR: r, q: q, egen: r.gen})
 		return true
 	}
 	if !c.srv.online {
 		return false
 	}
-	ts.nQueries++
-	ts.enqueueTree(&tevent{kind: tevQuery, toSrv: c.srv, fromR: r, q: q, egen: r.gen, sgen: c.srv.gen})
+	s.nQueries++
+	s.enqueue(&event{kind: evQuery, srv: c.srv, fromR: r, q: q, egen: r.gen, sgen: c.srv.gen})
 	return true
 }
 
-// enqueueTree applies the fault plan and a latency draw, then schedules
-// the delivery.
-func (ts *TreeSim) enqueueTree(ev *tevent) {
+// enqueue applies the fault plan and a latency draw, then schedules the
+// delivery.
+func (s *sim) enqueue(ev *event) {
 	dec, extra := faults.PassThrough, time.Duration(0)
-	if ts.cfg.Plan.Active() {
-		dec, extra = ts.cfg.Plan.Decide(ts.rng)
+	if s.cfg.Plan.Active() {
+		dec, extra = s.cfg.Plan.Decide(s.rng)
 	}
 	switch dec {
 	case faults.DropFrame:
-		ts.tracef("t=%d fault drop kind=%d", ts.tus(), ev.kind)
+		s.tracef("t=%d fault drop kind=%d", s.us(), ev.kind)
 		return
 	case faults.DupFrame:
-		ts.tracef("t=%d fault dup kind=%d", ts.tus(), ev.kind)
+		s.tracef("t=%d fault dup kind=%d", s.us(), ev.kind)
 		dup := *ev
-		ts.schedule(ts.clk.Now().Add(ts.tlatency()), ev)
-		ts.schedule(ts.clk.Now().Add(ts.tlatency()), &dup)
+		s.schedule(s.clk.Now().Add(s.latency()), ev)
+		s.schedule(s.clk.Now().Add(s.latency()), &dup)
 		return
 	case faults.DelayFrame:
-		ts.tracef("t=%d fault delay kind=%d by=%dus", ts.tus(), ev.kind, extra.Microseconds())
-		ts.schedule(ts.clk.Now().Add(ts.tlatency()+extra), ev)
+		s.tracef("t=%d fault delay kind=%d by=%dus", s.us(), ev.kind, extra.Microseconds())
+		s.schedule(s.clk.Now().Add(s.latency()+extra), ev)
 		return
 	case faults.ReorderFrame:
-		ts.tracef("t=%d fault reorder kind=%d", ts.tus(), ev.kind)
-		ts.schedule(ts.clk.Now().Add(ts.tlatency()+ts.tlatency()), ev)
+		// An adjacent swap in a discrete-event world: push the frame one
+		// extra latency draw into the future so later traffic overtakes it.
+		s.tracef("t=%d fault reorder kind=%d", s.us(), ev.kind)
+		s.schedule(s.clk.Now().Add(s.latency()+s.latency()), ev)
 		return
 	}
-	ts.schedule(ts.clk.Now().Add(ts.tlatency()), ev)
+	s.schedule(s.clk.Now().Add(s.latency()), ev)
 }
 
-// deliverServerQuery answers a Query at a data server synchronously: an
-// online copy schedules the Have back up; silence otherwise. (The tree
-// harness keeps all preloaded copies online — the flat harness owns the
-// staging/Vp schedule.)
-func (ts *TreeSim) deliverServerQuery(ev *tevent) {
-	sv := ev.toSrv
+// deliverServerQuery answers a Query at a data server exactly like a
+// real one: an online copy is a definitive Have, a mass-storage copy a
+// pending Have plus a staging request, silence otherwise.
+func (s *sim) deliverServerQuery(ev *event) {
+	sv := ev.srv
 	if ev.egen != sv.leaf.gen || ev.sgen != sv.gen || !sv.online {
-		ts.tracef("t=%d query qid=%d -> %s dropped (conn gone)", ts.tus(), ev.q.QID, sv.name)
+		s.tracef("t=%d query qid=%d -> %s dropped (conn gone)", s.us(), ev.q.QID, sv.name)
 		return
 	}
-	ts.tracef("t=%d query qid=%d -> %s", ts.tus(), ev.q.QID, sv.name)
-	if sv.st.HasOnline(ev.q.Path) {
-		ts.nHaves++
-		ts.enqueueTree(&tevent{
-			kind: tevHave, toR: sv.leaf, hIdx: sv.idx,
-			have: proto.Have{QID: ev.q.QID, Path: ev.q.Path, Hash: ev.q.Hash, CanWrite: true},
-			egen: sv.leaf.gen, sgen: sv.gen,
-		})
+	s.tracef("t=%d query qid=%d -> %s", s.us(), ev.q.QID, sv.name)
+	pending := false
+	switch {
+	case sv.st.HasOnline(ev.q.Path):
+	case sv.st.Has(ev.q.Path):
+		pending = true
+		s.requestStage(sv, ev.q.Path)
+	default:
+		return
 	}
+	s.nHaves++
+	s.enqueue(&event{
+		kind: evHave, toR: sv.leaf, srv: sv, hIdx: sv.idx,
+		have: proto.Have{QID: ev.q.QID, Path: ev.q.Path, Hash: ev.q.Hash,
+			Pending: pending, CanWrite: true},
+		egen: sv.leaf.gen, sgen: sv.gen,
+	})
+}
+
+// requestStage schedules the staging completion for (sv, path) unless
+// one is already under way. The real store spawns a clock-sleeping
+// goroutine for this; the harness models it as an explicit event so the
+// promotion instant is a scheduler decision.
+func (s *sim) requestStage(sv *server, path string) {
+	k := stageKey{sv, path}
+	if s.staging[k] {
+		return
+	}
+	s.staging[k] = true
+	s.schedule(s.clk.Now().Add(stageBase+s.jitter(stageBase)),
+		&event{kind: evStage, srv: sv, path: path})
+}
+
+// stageDone promotes a staged file online and updates the ground truth.
+func (s *sim) stageDone(sv *server, path string) {
+	delete(s.staging, stageKey{sv, path})
+	if err := sv.st.Put(path, fileContent(path)); err != nil {
+		s.violate("stage promote failed on %s: %v", sv.name, err)
+		return
+	}
+	s.nStaged++
+	if fm := s.files[path]; fm != nil {
+		delete(fm.mss, sv.id)
+		fm.online[sv.id] = true
+	}
+	s.tracef("t=%d staged %s path=%s", s.us(), sv.name, path)
 }
 
 // deliverSupQuery spawns a query proc on the target supervisor's core —
 // the discrete-event twin of node.go handleQuery's async resolve.
-func (ts *TreeSim) deliverSupQuery(ev *tevent) {
+func (s *sim) deliverSupQuery(ev *event) {
 	r := ev.toR
 	if ev.egen != ev.fromR.gen || !r.joined {
-		ts.tracef("t=%d query qid=%d -> %s dropped (link gone)", ts.tus(), ev.q.QID, r.name)
+		s.tracef("t=%d query qid=%d -> %s dropped (link gone)", s.us(), ev.q.QID, r.name)
 		return
 	}
-	ts.tracef("t=%d query qid=%d -> %s", ts.tus(), ev.q.QID, r.name)
-	p := &tproc{
-		id: ts.nextPID, kind: procQuery, at: r,
-		qid: ev.q.QID, path: ev.q.Path, hash: ev.q.Hash, write: ev.q.Write,
+	s.tracef("t=%d query qid=%d -> %s", s.us(), ev.q.QID, r.name)
+	p := &proc{
+		id: s.nextPID, kind: procQuery, at: r,
+		qid: ev.q.QID, path: ev.q.Path, hash: ev.q.Hash,
 		parent: ev.fromR, egen: r.gen, pgen: ev.fromR.gen,
 	}
-	ts.nextPID++
-	ts.stepTreeProc(p, cmsd.Request{Path: ev.q.Path, Write: ev.q.Write})
+	s.nextPID++
+	s.stepProc(p, cmsd.Request{Path: ev.q.Path, Write: ev.q.Write})
 }
 
-// deliverTreeHave hands a Have to redirector r and absorbs every
-// completion it released before the next scheduler decision.
-func (ts *TreeSim) deliverTreeHave(ev *tevent) {
+// deliverHave hands a Have to redirector r and absorbs every completion
+// it released before the next scheduler decision.
+func (s *sim) deliverHave(ev *event) {
 	r := ev.toR
-	if ev.egen != r.gen {
-		ts.tracef("t=%d have qid=%d -> %s dropped (core gone)", ts.tus(), ev.have.QID, r.name)
+	if ev.egen != r.gen || (ev.srv != nil && ev.sgen != ev.srv.gen) {
+		s.tracef("t=%d have qid=%d -> %s dropped (conn gone)", s.us(), ev.have.QID, r.name)
 		return
 	}
-	before := ts.ledger(r)
+	before := s.ledger(r)
 	n := r.core.HandleHave(ev.hIdx, ev.have)
-	ts.tracef("t=%d have qid=%d -> %s idx=%d path=%s pending=%v released=%d",
-		ts.tus(), ev.have.QID, r.name, ev.hIdx, ev.have.Path, ev.have.Pending, n)
-	ts.collectTreeReleased(r, before)
+	s.tracef("t=%d have qid=%d -> %s idx=%d path=%s pending=%v released=%d",
+		s.us(), ev.have.QID, r.name, ev.hIdx, ev.have.Path, ev.have.Pending, n)
+	s.collectReleased(r, before)
 }
 
 // ---------------------------------------------------------------------
 // Proc stepping and exactly-once collection.
 
-// ledger returns core r's cumulative delivered-waiter count.
-func (ts *TreeSim) ledger(r *tredirector) int64 {
+// ledger returns core r's cumulative delivered-waiter count — the
+// scheduler's ledger for exactly-once accounting.
+func (s *sim) ledger(r *redirector) int64 {
 	st := r.core.Queue().Stats()
 	return st.ReleasedWaiters + st.ExpiredWaiters
 }
 
-// stepTreeProc runs one resolution attempt for p on core p.at, blocking
-// until it parks (OnAwait handshake) or completes, then absorbs every
-// completion the step released.
-func (ts *TreeSim) stepTreeProc(p *tproc, req cmsd.Request) {
+// stepProc runs one resolution attempt for p on core p.at on its own
+// goroutine, blocking until it parks (OnAwait handshake) or completes.
+// Completions of other procs released mid-step (the optimistic-create
+// path) are collected before the scheduler moves on, so the step is
+// atomic.
+func (s *sim) stepProc(p *proc, req cmsd.Request) {
 	r := p.at
-	before := ts.ledger(r)
-	go func() { ts.done <- tdone{p, r.core.Resolve(req)} }()
+	before := s.ledger(r)
+	go func() { s.done <- doneMsg{p, r.core.Resolve(req)} }()
 
-	var own *tdone
-	var strays []tdone
+	var own *doneMsg
+	var strays []doneMsg
 	parkedHere := false
 	wedge := time.After(wedgeTimeout)
 	for own == nil && !parkedHere {
 		select {
-		case <-ts.awaitCh:
+		case <-s.awaitCh:
 			parkedHere = true
-		case d := <-ts.done:
+		case d := <-s.done:
 			if d.p == p {
 				dd := d
 				own = &dd
@@ -852,133 +769,114 @@ func (ts *TreeSim) stepTreeProc(p *tproc, req cmsd.Request) {
 				strays = append(strays, d)
 			}
 		case <-wedge:
-			ts.tviolate("proc %d resolution wedged on %s at %s", p.id, req.Path, r.name)
-			ts.abort = true
+			s.violate("proc %d resolution wedged on %s at %s", p.id, req.Path, r.name)
+			s.abort = true
 			return
 		}
 	}
 	if parkedHere {
 		if len(strays) != 0 {
-			ts.tviolate("proc %d parked at %s but %d completions appeared mid-step",
+			s.violate("proc %d parked at %s but %d completions appeared mid-step",
 				p.id, r.name, len(strays))
 		}
-		p.state = tpParked
+		p.state = procParked
 		r.parked++
-		ts.tracef("t=%d p%d parked at %s", ts.tus(), p.id, r.name)
+		s.tracef("t=%d p%d parked at %s", s.us(), p.id, r.name)
 		return
 	}
 
-	expect := int(ts.ledger(r) - before)
+	// The step released this many parked waiters; each is a completion
+	// the scheduler must absorb before the next decision.
+	expect := int(s.ledger(r) - before)
 	for len(strays) < expect {
 		select {
-		case d := <-ts.done:
+		case d := <-s.done:
 			strays = append(strays, d)
 		case <-time.After(wedgeTimeout):
-			ts.tviolate("exactly-once at %s: %d of %d completions released by p%d's step arrived",
+			s.violate("exactly-once at %s: %d of %d completions released by p%d's step arrived",
 				r.name, len(strays), expect, p.id)
-			ts.abort = true
+			s.abort = true
 			return
 		}
 	}
-	ts.applyOutcome(p, own.out)
-	sort.Slice(strays, func(i, j int) bool { return strays[i].p.id < strays[j].p.id })
-	for _, d := range strays {
-		if d.p.state != tpParked {
-			ts.tviolate("completion for proc %d which was not parked", d.p.id)
-			continue
-		}
-		ts.applyOutcome(d.p, d.out)
-	}
+	s.applyOutcome(p, own.out)
+	s.applyReleased(strays)
 }
 
-// collectTreeReleased blocks until every completion implied by core r's
-// waiter-delivery delta has arrived, then applies them in proc order.
-func (ts *TreeSim) collectTreeReleased(r *tredirector, before int64) {
-	expect := int(ts.ledger(r) - before)
-	if expect == 0 {
+// collectReleased blocks until every completion implied by core r's
+// waiter-delivery delta since before has arrived, then applies them in
+// proc order. A shortfall is a lost waiter: the exactly-once violation.
+func (s *sim) collectReleased(r *redirector, before int64) {
+	s.collect(int(s.ledger(r)-before), "exactly-once at "+r.name)
+}
+
+// collect absorbs exactly n completions and applies them in proc order.
+// The root-restart path calls it directly: there parked procs are
+// released through the core's stop channel rather than the fast
+// response queue, so the respq ledger does not count them.
+func (s *sim) collect(n int, what string) {
+	if n == 0 {
 		return
 	}
-	msgs := make([]tdone, 0, expect)
-	wedge := time.After(wedgeTimeout)
-	for len(msgs) < expect {
-		select {
-		case d := <-ts.done:
-			msgs = append(msgs, d)
-		case <-wedge:
-			ts.tviolate("exactly-once at %s: %d of %d released completions arrived",
-				r.name, len(msgs), expect)
-			ts.abort = true
-			return
-		}
-	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].p.id < msgs[j].p.id })
-	for _, d := range msgs {
-		if d.p.state != tpParked {
-			ts.tviolate("completion for proc %d which was not parked", d.p.id)
-			continue
-		}
-		ts.applyOutcome(d.p, d.out)
-	}
-}
-
-// collectExactly absorbs exactly n completions regardless of the respq
-// ledger — the root-restart path, where parked procs are released
-// through the core's stop channel rather than the fast response queue.
-func (ts *TreeSim) collectExactly(n int) {
-	msgs := make([]tdone, 0, n)
+	msgs := make([]doneMsg, 0, n)
 	wedge := time.After(wedgeTimeout)
 	for len(msgs) < n {
 		select {
-		case d := <-ts.done:
+		case d := <-s.done:
 			msgs = append(msgs, d)
 		case <-wedge:
-			ts.tviolate("root restart: %d of %d parked completions arrived", len(msgs), n)
-			ts.abort = true
+			s.violate("%s: %d of %d released completions arrived", what, len(msgs), n)
+			s.abort = true
 			return
 		}
 	}
+	s.applyReleased(msgs)
+}
+
+// applyReleased applies completions of parked procs in proc order.
+func (s *sim) applyReleased(msgs []doneMsg) {
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].p.id < msgs[j].p.id })
 	for _, d := range msgs {
-		if d.p.state != tpParked {
-			ts.tviolate("restart completion for proc %d which was not parked", d.p.id)
+		if d.p.state != procParked {
+			s.violate("completion for proc %d which was not parked", d.p.id)
 			continue
 		}
-		ts.applyOutcome(d.p, d.out)
+		s.applyOutcome(d.p, d.out)
 	}
 }
 
 // applyOutcome routes one finished resolution: query procs report
 // upward, client procs walk.
-func (ts *TreeSim) applyOutcome(p *tproc, out cmsd.Outcome) {
-	if p.state == tpParked {
+func (s *sim) applyOutcome(p *proc, out cmsd.Outcome) {
+	if p.state == procParked {
 		p.at.parked--
 	}
-	p.state = tpIdle
+	p.state = procIdle
 	if p.kind == procQuery {
-		ts.finishQueryProc(p, out)
+		s.finishQueryProc(p, out)
 		return
 	}
-	ts.finishClientAttempt(p, out)
+	s.finishClientAttempt(p, out)
 }
 
 // finishQueryProc implements the supervisor's half of
 // request-rarely-respond: a redirect outcome compresses into one Have
 // upward (echoing the parent's QID, passing Pending through); every
 // other outcome is silence.
-func (ts *TreeSim) finishQueryProc(p *tproc, out cmsd.Outcome) {
-	p.state = tpDone
+func (s *sim) finishQueryProc(p *proc, out cmsd.Outcome) {
+	p.state = procDone
 	if out.Kind != cmsd.KindRedirect {
-		ts.tracef("t=%d p%d %s silent (%d)", ts.tus(), p.id, p.at.name, out.Kind)
+		s.tracef("t=%d p%d %s silent (%d)", s.us(), p.id, p.at.name, out.Kind)
 		return
 	}
 	if p.egen != p.at.gen || p.pgen != p.parent.gen || !p.at.joined {
-		ts.tracef("t=%d p%d have up dropped (link gone)", ts.tus(), p.id)
+		s.tracef("t=%d p%d have up dropped (link gone)", s.us(), p.id)
 		return
 	}
-	ts.nHaves++
-	ts.tracef("t=%d p%d %s have up qid=%d pending=%v", ts.tus(), p.id, p.at.name, p.qid, out.Pending)
-	ts.enqueueTree(&tevent{
-		kind: tevHave, toR: p.parent, hIdx: p.at.pidx,
+	s.nHaves++
+	s.tracef("t=%d p%d %s have up qid=%d pending=%v", s.us(), p.id, p.at.name, p.qid, out.Pending)
+	s.enqueue(&event{
+		kind: evHave, toR: p.parent, hIdx: p.at.pidx,
 		have: proto.Have{QID: p.qid, Path: p.path, Hash: p.hash,
 			Pending: out.Pending, CanWrite: true},
 		egen: p.parent.gen,
@@ -988,127 +886,131 @@ func (ts *TreeSim) finishQueryProc(p *tproc, out cmsd.Outcome) {
 // ---------------------------------------------------------------------
 // Client walks.
 
-// stepClientWalk runs one attempt of the client's current op at its
-// current tree position.
-func (ts *TreeSim) stepClientWalk(p *tproc) {
-	if p.state != tpIdle || p.cur >= len(p.ops) {
-		ts.tviolate("client proc %d stepped in state %d", p.id, p.state)
+// stepClient runs one attempt of the client's current op at its current
+// tree position.
+func (s *sim) stepClient(p *proc) {
+	if p.state != procIdle || p.cur >= len(p.ops) {
+		s.violate("client proc %d stepped in state %d", p.id, p.state)
 		return
 	}
 	o := p.ops[p.cur]
-	now := ts.clk.Now()
+	now := s.clk.Now()
 	if p.attempts == 0 {
 		p.opStart = now
-		p.at = ts.root
+		p.at = s.root
 		p.hops = 0
 	}
 	p.attempts++
 	if p.attempts > maxAttempts {
-		ts.tviolate("client proc %d livelocked on op %d (%s %s)", p.id, p.cur, o.kind, o.path)
-		p.state = tpDone
-		ts.opsLeft--
+		s.violate("client proc %d livelocked on op %d (%s %s)", p.id, p.cur, o.kind, o.path)
+		p.state = procDone
+		s.opsLeft--
 		return
 	}
 	req := cmsd.Request{Path: o.path, Write: o.write, Create: o.create}
-	if p.at == ts.root && ((o.refresh && p.attempts == 1) || p.forceRefresh) {
+	if p.at == s.root && ((o.refresh && p.attempts == 1) || p.forceRefresh) {
+		// A refresh deliberately re-floods; remember so the
+		// flood-uniqueness invariant tolerates the overlap.
 		req.Refresh = true
 		p.forceRefresh = false
-		ts.refreshGuard[names.Clean(o.path)] = now.Add(ts.rootDeadline)
+		s.refreshGuard[names.Clean(o.path)] = now.Add(s.rootDeadline)
 	}
-	ts.tracef("t=%d c%d %s %s at=%s attempt=%d", ts.tus(), p.id, o.kind, o.path, p.at.name, p.attempts)
-	ts.stepTreeProc(p, req)
+	s.tracef("t=%d c%d %s %s at=%s attempt=%d", s.us(), p.id, o.kind, o.path, p.at.name, p.attempts)
+	s.stepProc(p, req)
 }
 
-// finishClientAttempt applies one walk-step outcome.
-func (ts *TreeSim) finishClientAttempt(p *tproc, out cmsd.Outcome) {
+// finishClientAttempt applies one walk-step outcome: schedule the retry
+// or the next hop, or validate and complete the operation.
+func (s *sim) finishClientAttempt(p *proc, out cmsd.Outcome) {
 	o := p.ops[p.cur]
-	now := ts.clk.Now()
+	now := s.clk.Now()
 	switch out.Kind {
 	case cmsd.KindRetry:
-		ts.nRetries++
-		ts.tracef("t=%d c%d retry at %s", ts.tus(), p.id, p.at.name)
-		ts.schedule(now.Add(time.Millisecond), &tevent{kind: tevClientOp, p: p})
+		s.nRetries++
+		s.tracef("t=%d c%d retry at %s", s.us(), p.id, p.at.name)
+		s.schedule(now.Add(time.Millisecond), &event{kind: evClientOp, p: p})
 	case cmsd.KindWait:
-		ts.nWaits++
-		ts.tracef("t=%d c%d wait %dms at %s", ts.tus(), p.id, out.Millis, p.at.name)
-		ts.schedule(now.Add(time.Duration(out.Millis)*time.Millisecond),
-			&tevent{kind: tevClientOp, p: p})
+		s.nWaits++
+		s.tracef("t=%d c%d wait %dms at %s", s.us(), p.id, out.Millis, p.at.name)
+		s.schedule(now.Add(time.Duration(out.Millis)*time.Millisecond),
+			&event{kind: evClientOp, p: p})
 	case cmsd.KindNoEnt:
-		if p.at == ts.root {
-			ts.nNoEnts++
-			ts.validateTreeNoEnt(p, o)
-			ts.completeWalk(p, "noent", "")
+		if p.at == s.root {
+			s.nNoEnts++
+			s.validateNoEnt(p, o)
+			s.completeOp(p, "noent", "")
 			return
 		}
 		// A stale interior location: the file moved (or never landed)
 		// under this subtree. The client's recovery is a refreshed
 		// relocate at the manager (Section III-C1).
-		ts.tracef("t=%d c%d stale noent at %s, refreshing from root", ts.tus(), p.id, p.at.name)
+		s.tracef("t=%d c%d stale noent at %s, refreshing from root", s.us(), p.id, p.at.name)
 		p.forceRefresh = true
-		p.at = ts.root
-		ts.schedule(now.Add(ts.tlatency()), &tevent{kind: tevClientOp, p: p})
+		p.at = s.root
+		s.schedule(now.Add(s.latency()), &event{kind: evClientOp, p: p})
 	case cmsd.KindRedirect:
-		ts.nRedirects++
+		s.nRedirects++
 		c := p.at.byIndex[out.Index]
 		if c == nil {
-			ts.tviolate("c%d redirected to unknown index %d at %s", p.id, out.Index, p.at.name)
-			ts.completeWalk(p, "bad-redirect", "")
+			s.violate("c%d redirected to unknown index %d at %s", p.id, out.Index, p.at.name)
+			s.completeOp(p, "bad-redirect", "")
 			return
 		}
 		p.hops++
 		if c.sup != nil {
-			ts.tracef("t=%d c%d hop %s -> %s", ts.tus(), p.id, p.at.name, c.sup.name)
+			s.tracef("t=%d c%d hop %s -> %s", s.us(), p.id, p.at.name, c.sup.name)
 			p.at = c.sup
-			ts.schedule(now.Add(ts.tlatency()), &tevent{kind: tevClientOp, p: p})
+			s.schedule(now.Add(s.latency()), &event{kind: evClientOp, p: p})
 			return
 		}
-		ts.validateTreeRedirect(p, o, c.srv)
-		ts.completeWalk(p, "redirect", c.srv.name)
+		s.validateRedirect(p, o, c.srv)
+		s.completeOp(p, "redirect", c.srv.name)
 	default:
-		ts.tviolate("c%d got unknown outcome kind %d", p.id, out.Kind)
-		ts.completeWalk(p, "unknown", "")
+		s.violate("c%d got unknown outcome kind %d", p.id, out.Kind)
+		s.completeOp(p, "unknown", "")
 	}
 }
 
-func (ts *TreeSim) completeWalk(p *tproc, how, where string) {
-	now := ts.clk.Now()
+func (s *sim) completeOp(p *proc, how, where string) {
+	now := s.clk.Now()
 	took := now.Sub(p.opStart)
 	o := p.ops[p.cur]
-	ts.tracef("t=%d c%d %s %s done %s %s hops=%d took=%dus attempts=%d",
-		ts.tus(), p.id, o.kind, o.path, how, where, p.hops, took.Microseconds(), p.attempts)
-	if took > ts.cfg.MaxOpTime {
-		ts.tviolate("c%d op %d (%s %s) took %s, past the %s resolution bound",
-			p.id, p.cur, o.kind, o.path, took, ts.cfg.MaxOpTime)
+	s.tracef("t=%d c%d %s %s done %s %s hops=%d took=%dus attempts=%d",
+		s.us(), p.id, o.kind, o.path, how, where, p.hops, took.Microseconds(), p.attempts)
+	if took > s.maxOpTime {
+		s.violate("c%d op %d (%s %s) took %s, past the %s resolution bound",
+			p.id, p.cur, o.kind, o.path, took, s.maxOpTime)
 	}
-	ts.opLat = append(ts.opLat, took)
-	ts.opHops = append(ts.opHops, p.hops)
+	s.opLat = append(s.opLat, took)
+	s.opHops = append(s.opHops, p.hops)
 	p.cur++
 	p.attempts = 0
 	p.forceRefresh = false
-	ts.opsLeft--
+	s.opsLeft--
 	if p.cur >= len(p.ops) {
-		p.state = tpDone
+		p.state = procDone
 		return
 	}
-	ts.schedule(now.Add(ts.tjitter(20*time.Millisecond)), &tevent{kind: tevClientOp, p: p})
+	s.schedule(now.Add(s.jitter(20*time.Millisecond)), &event{kind: evClientOp, p: p})
 }
 
-// validateTreeRedirect checks a final-hop redirect against the ground
-// truth: the target server must be online and hold the file, or be the
-// landing site of a create.
-func (ts *TreeSim) validateTreeRedirect(p *tproc, o top, sv *tserver) {
+// validateRedirect checks a final-hop redirect against the ground
+// truth: the target server must be online and hold the file (online or
+// staging), or be the landing site of a create.
+func (s *sim) validateRedirect(p *proc, o op, sv *server) {
 	if !sv.online {
-		ts.tviolate("c%d redirected to offline server %s for %s", p.id, sv.name, o.path)
+		s.violate("c%d redirected to offline server %s for %s", p.id, sv.name, o.path)
 		return
 	}
-	fm := ts.files[o.path]
+	fm := s.files[o.path]
 	if o.create && (fm == nil || !fm.exists) {
+		// Creation lands here: the redirect target becomes the holder.
 		if fm == nil {
-			fm = &fileModel{online: make(map[int]bool), mss: make(map[int]bool)}
-			ts.files[o.path] = fm
+			fm = newFileModel()
+			s.files[o.path] = fm
 		}
 		if err := sv.st.Put(o.path, fileContent(o.path)); err != nil {
-			ts.tviolate("create install on %s failed: %v", sv.name, err)
+			s.violate("create install on %s failed: %v", sv.name, err)
 			return
 		}
 		fm.exists = true
@@ -1116,155 +1018,205 @@ func (ts *TreeSim) validateTreeRedirect(p *tproc, o top, sv *tserver) {
 		return
 	}
 	if fm == nil || !fm.exists {
-		ts.tviolate("c%d redirected to %s for %s which does not exist", p.id, sv.name, o.path)
+		s.violate("c%d redirected to %s for %s which does not exist", p.id, sv.name, o.path)
 		return
 	}
-	if !fm.online[sv.id] {
-		ts.tviolate("c%d redirected to %s which does not hold %s", p.id, sv.name, o.path)
+	if !fm.online[sv.id] && !fm.mss[sv.id] {
+		s.violate("c%d redirected to %s which does not hold %s", p.id, sv.name, o.path)
 	}
 }
 
-func (ts *TreeSim) validateTreeNoEnt(p *tproc, o top) {
-	if !ts.cfg.strict() {
+func (s *sim) validateNoEnt(p *proc, o op) {
+	if !s.cfg.strict() {
 		return
 	}
 	if o.create {
-		ts.tviolate("c%d create %s returned noent in a strict run", p.id, o.path)
+		s.violate("c%d create %s returned noent in a strict run", p.id, o.path)
 		return
 	}
-	fm := ts.files[o.path]
-	if fm != nil && fm.exists {
-		ts.tviolate("c%d got noent for existing file %s in a strict run", p.id, o.path)
+	if fm := s.files[o.path]; fm != nil && fm.exists {
+		s.violate("c%d got noent for existing file %s in a strict run", p.id, o.path)
 	}
 }
 
 // ---------------------------------------------------------------------
 // Churn and restart.
 
-func (ts *TreeSim) crashServer(sv *tserver) {
+func (s *sim) crashServer(sv *server) {
 	if !sv.online {
-		ts.tracef("t=%d crash %s skipped (already down)", ts.tus(), sv.name)
+		s.tracef("t=%d crash %s skipped (already down)", s.us(), sv.name)
 		return
 	}
 	sv.online = false
 	sv.gen++
-	ts.nCrashed++
-	ts.tracef("t=%d crash %s", ts.tus(), sv.name)
+	s.nCrashed++
+	s.tracef("t=%d crash %s", s.us(), sv.name)
+	if !sv.joined {
+		return // not in the (fresh) leaf table yet; nothing to disconnect
+	}
 	// DisconnectManual fires OnOffline synchronously → MemberDown
 	// refloods on this goroutine, keeping the RNG draws ordered.
 	if gen, ok := sv.leaf.core.Table().DisconnectManual(sv.idx); ok {
-		ts.schedule(ts.clk.Now().Add(ts.cfg.DropDelay),
-			&tevent{kind: tevDrop, toR: sv.leaf, idx: sv.idx, dgen: gen})
+		s.schedule(s.clk.Now().Add(dropDelay),
+			&event{kind: evDrop, toR: sv.leaf, idx: sv.idx, dgen: gen})
 	}
 }
 
-func (ts *TreeSim) restartServer(sv *tserver) {
+func (s *sim) restartServer(sv *server) {
 	if sv.online {
-		ts.tracef("t=%d restart %s skipped (already up)", ts.tus(), sv.name)
+		s.tracef("t=%d restart %s skipped (already up)", s.us(), sv.name)
 		return
 	}
 	sv.online = true
 	sv.gen++
-	ts.loginServer(sv)
-	ts.tracef("t=%d restart %s idx=%d", ts.tus(), sv.name, sv.idx)
+	s.loginServer(sv)
+	s.tracef("t=%d restart %s idx=%d", s.us(), sv.name, sv.idx)
 	sv.leaf.core.MemberUp(sv.idx)
 }
 
 // restartManager models a head-node process restart: the old root core
-// dies (its parked clients surface through the production stop path and
+// dies (its parked procs surface through the production stop path and
 // retry), a fresh core with a fresh connect epoch replaces it, and each
-// child supervisor schedules its re-login staggered by old slot index
-// over RejoinSpread — node.go parentLoop's bounded re-subscription
-// storm, as a deterministic schedule.
-func (ts *TreeSim) restartManager() {
-	root := ts.root
-	ts.nMgrRestarts++
-	ts.tracef("t=%d manager restart (parked=%d)", ts.tus(), root.parked)
+// child schedules its re-login staggered by old slot index over
+// rejoinSpread — node.go parentLoop's bounded re-subscription storm, as
+// a deterministic schedule. In a flat cell the children are the data
+// servers themselves.
+func (s *sim) restartManager() {
+	root := s.root
+	s.nMgrRestarts++
+	s.tracef("t=%d manager restart (parked=%d)", s.us(), root.parked)
 	root.gen++
 	parked := root.parked
 	root.core.Close()
-	ts.collectExactly(parked)
-	if ts.abort {
+	s.collect(parked, "root restart")
+	if s.abort {
 		return
 	}
 
-	root.byIndex = make(map[int]*tchild)
-	root.core = ts.newTreeCore(root, ts.levels)
+	old := root.byIndex
+	root.byIndex = make(map[int]*child)
+	root.core = s.newCore(root, s.levels)
 
-	// Children re-login: first redial after ReconnectDelay, plus the
-	// index-proportional jittered spread.
-	for _, r := range ts.reds[1:] {
-		if r.parent != root {
-			continue
+	// Children re-login in old slot order: first redial after
+	// reconnectDelay, plus the index-proportional jittered spread.
+	idxs := make([]int, 0, len(old))
+	for i := range old {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	for _, i := range idxs {
+		ev := &event{kind: evLogin, egen: root.gen}
+		if c := old[i]; c.sup != nil {
+			c.sup.joined = false
+			ev.toR = c.sup
+		} else {
+			c.srv.joined = false
+			ev.srv = c.srv
 		}
-		r.joined = false
-		spread := time.Duration(float64(ts.cfg.RejoinSpread) *
-			(float64(r.pidx) + ts.rng.Float64()) / float64(cluster.MaxMembers))
-		at := ts.clk.Now().Add(ts.cfg.ReconnectDelay + spread)
-		ts.schedule(at, &tevent{kind: tevLogin, toR: r, egen: root.gen})
+		spread := time.Duration(float64(rejoinSpread) *
+			(float64(i) + s.rng.Float64()) / float64(cluster.MaxMembers))
+		s.schedule(s.clk.Now().Add(reconnectDelay+spread), ev)
 	}
 }
 
-// execLogin re-registers a child supervisor with the (possibly fresh)
-// root core.
-func (ts *TreeSim) execLogin(ev *tevent) {
-	r := ev.toR
-	if ev.egen != ts.root.gen || r.joined {
-		ts.tracef("t=%d login %s skipped (stale)", ts.tus(), r.name)
+// execLogin re-registers a root child with the (possibly fresh) root
+// core. A server that crashed meanwhile logs in on its restart instead.
+func (s *sim) execLogin(ev *event) {
+	if sv := ev.srv; sv != nil {
+		if ev.egen != s.root.gen || sv.joined || !sv.online {
+			s.tracef("t=%d login %s skipped (stale)", s.us(), sv.name)
+			return
+		}
+		s.loginServer(sv)
+		s.tracef("t=%d login %s idx=%d", s.us(), sv.name, sv.idx)
+		s.root.core.MemberUp(sv.idx)
 		return
 	}
-	ts.loginSup(r)
-	ts.tracef("t=%d login %s idx=%d", ts.tus(), r.name, r.pidx)
-	ts.root.core.MemberUp(r.pidx)
+	r := ev.toR
+	if ev.egen != s.root.gen || r.joined {
+		s.tracef("t=%d login %s skipped (stale)", s.us(), r.name)
+		return
+	}
+	s.loginSup(r)
+	s.tracef("t=%d login %s idx=%d", s.us(), r.name, r.pidx)
+	s.root.core.MemberUp(r.pidx)
 }
 
 // ---------------------------------------------------------------------
 // Invariants.
 
-// checkTreeInvariants runs the per-core model checks: vector
-// disjointness, flood uniqueness (root refreshes exempted while their
-// guard lives), and respq conservation against the per-core parked
-// ledger. Exactly-once delivery is enforced structurally by the
-// collect* paths.
-func (ts *TreeSim) checkTreeInvariants() {
-	if ts.abort {
+// checkInvariants runs the model checks of the package comment:
+// per-core vector disjointness, flood uniqueness (root refreshes
+// exempted while their guard lives) and respq conservation against the
+// per-core parked ledger, then the per-server Vp fence. It runs with no
+// other goroutine active, so the snapshots are consistent.
+// Exactly-once delivery is enforced structurally by the collect paths.
+func (s *sim) checkInvariants() {
+	if s.abort {
 		return
 	}
-	now := ts.clk.Now()
-	for _, r := range ts.reds {
+	now := s.clk.Now()
+	for _, r := range s.reds {
+		// 1. Vector disjointness: a server is queried, or known, never
+		// both; and a holder is definitive or pending, never both.
 		for _, e := range r.core.Cache().Entries() {
 			known := e.Vh.Union(e.Vp)
 			if !e.Vq.Intersect(known).IsEmpty() {
-				ts.tviolate("cache %s %s: Vq %s intersects Vh|Vp %s", r.name, e.Name, e.Vq, known)
+				s.violate("cache %s %s: Vq %s intersects Vh|Vp %s", r.name, e.Name, e.Vq, known)
 			}
 			if !e.Vh.Intersect(e.Vp).IsEmpty() {
-				ts.tviolate("cache %s %s: Vh %s intersects Vp %s", r.name, e.Name, e.Vh, e.Vp)
+				s.violate("cache %s %s: Vh %s intersects Vp %s", r.name, e.Name, e.Vh, e.Vp)
 			}
 		}
+		// 2. Flood uniqueness. InflightFloods is sorted by QID, so a
+		// violation is detected at a deterministic point.
 		livePaths := make(map[string]uint64)
 		for _, f := range r.core.InflightFloods() {
 			if now.After(f.Deadline) {
 				continue
 			}
 			if first, dup := livePaths[f.Path]; dup {
-				if r == ts.root {
-					if g, ok := ts.refreshGuard[f.Path]; ok && !now.After(g) {
+				if r == s.root {
+					if g, ok := s.refreshGuard[f.Path]; ok && !now.After(g) {
 						continue
 					}
 				}
-				ts.tviolate("%s: two live floods for %s (qid %d and %d)", r.name, f.Path, first, f.QID)
+				s.violate("%s: two live floods for %s (qid %d and %d)", r.name, f.Path, first, f.QID)
 				continue
 			}
 			livePaths[f.Path] = f.QID
 		}
+		// 3. Fast-queue conservation, in entry units and waiter units.
+		// The waiter form is the lost-client detector: every registered
+		// waiter is still parked, was delivered exactly once, or sat
+		// alone on a withdrawn entry.
 		st := r.core.Queue().Stats()
-		if st.Entries != st.Released+st.Expired+int64(st.InUse) {
-			ts.tviolate("%s respq entry leak: %d entries != %d released + %d expired + %d in use",
-				r.name, st.Entries, st.Released, st.Expired, st.InUse)
+		if st.Entries != st.Released+st.Expired+st.Withdrawn+int64(st.InUse) {
+			s.violate("%s respq entry leak: %d entries != %d released + %d expired + %d withdrawn + %d in use",
+				r.name, st.Entries, st.Released, st.Expired, st.Withdrawn, st.InUse)
 		}
-		if st.Entries+st.Joins != st.ReleasedWaiters+st.ExpiredWaiters+int64(r.parked) {
-			ts.tviolate("%s respq waiter leak: %d registered != %d released + %d expired + %d parked",
-				r.name, st.Entries+st.Joins, st.ReleasedWaiters, st.ExpiredWaiters, r.parked)
+		if st.Entries+st.Joins != st.ReleasedWaiters+st.ExpiredWaiters+st.Withdrawn+int64(r.parked) {
+			s.violate("%s respq waiter leak: %d registered != %d released + %d expired + %d withdrawn + %d parked",
+				r.name, st.Entries+st.Joins, st.ReleasedWaiters, st.ExpiredWaiters, st.Withdrawn, r.parked)
+		}
+	}
+
+	// 4. Vp service fence: a file still being staged never serves bytes.
+	// While a (server, path) stage is pending the server's store must
+	// still report it offline; and a store may never report a path both
+	// online and in its own staging set (the structural form the disk
+	// backend relies on — a file enters the online index only after the
+	// MSS move completes).
+	for k := range s.staging {
+		if k.sv.st.HasOnline(k.path) {
+			s.violate("%s serves %s while it is still staging (Vp)", k.sv.name, k.path)
+		}
+	}
+	for _, sv := range s.servers {
+		for _, p := range sv.st.StagingPaths() {
+			if sv.st.HasOnline(p) {
+				s.violate("%s store reports %s both online and staging", sv.name, p)
+			}
 		}
 	}
 }
@@ -1272,40 +1224,36 @@ func (ts *TreeSim) checkTreeInvariants() {
 // ---------------------------------------------------------------------
 // Plumbing.
 
-func (ts *TreeSim) tlatency() time.Duration {
-	span := int64(ts.cfg.MaxLatency - ts.cfg.MinLatency)
-	if span <= 0 {
-		return ts.cfg.MinLatency
-	}
-	return ts.cfg.MinLatency + time.Duration(ts.rng.Int63n(span+1))
+func (s *sim) latency() time.Duration {
+	return minLatency + time.Duration(s.rng.Int63n(int64(maxLatency-minLatency)+1))
 }
 
-func (ts *TreeSim) tjitter(max time.Duration) time.Duration {
-	return time.Duration(ts.rng.Int63n(int64(max)))
+func (s *sim) jitter(max time.Duration) time.Duration {
+	return time.Duration(s.rng.Int63n(int64(max)))
 }
 
-func (ts *TreeSim) schedule(due time.Time, ev *tevent) {
+func (s *sim) schedule(due time.Time, ev *event) {
 	ev.due = due
-	ev.seq = ts.seq
-	ts.seq++
-	heap.Push(&ts.eq, ev)
+	ev.seq = s.seq
+	s.seq++
+	heap.Push(&s.eq, ev)
 }
 
-func (ts *TreeSim) tus() int64 { return ts.clk.Now().Sub(ts.epoch).Microseconds() }
+func (s *sim) us() int64 { return s.clk.Now().Sub(s.epoch).Microseconds() }
 
-func (ts *TreeSim) tracef(format string, args ...any) {
-	ts.trace.Addf(format, args...)
-	if ts.cfg.Debug != nil {
-		fmt.Fprintf(ts.cfg.Debug, format+"\n", args...)
+func (s *sim) tracef(format string, args ...any) {
+	s.trace.Addf(format, args...)
+	if s.cfg.Debug != nil {
+		fmt.Fprintf(s.cfg.Debug, format+"\n", args...)
 	}
 }
 
-func (ts *TreeSim) tviolate(format string, args ...any) {
+func (s *sim) violate(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	ts.violations = append(ts.violations, msg)
-	ts.tracef("VIOLATION: %s", msg)
-	if len(ts.violations) >= 8 {
-		ts.abort = true
+	s.violations = append(s.violations, msg)
+	s.tracef("VIOLATION: %s", msg)
+	if len(s.violations) >= 8 {
+		s.abort = true
 	}
 }
 
@@ -1314,42 +1262,45 @@ func pctOf(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
-func (ts *TreeSim) finishTree() TreeResult {
-	for _, p := range ts.clients {
-		if p.cur < len(p.ops) && !ts.abort {
+func (s *sim) finish() Result {
+	for _, p := range s.clients {
+		if p.cur < len(p.ops) && !s.abort {
 			o := p.ops[p.cur]
-			ts.tviolate("client proc %d stalled: op %d (%s %s) never resolved",
+			s.violate("client proc %d stalled: op %d (%s %s) never resolved",
 				p.id, p.cur, o.kind, o.path)
 		}
 	}
-	ts.tracef("final steps=%d redirects=%d waits=%d noents=%d retries=%d queries=%d haves=%d crashed=%d mgrRestarts=%d",
-		ts.steps, ts.nRedirects, ts.nWaits, ts.nNoEnts, ts.nRetries,
-		ts.nQueries, ts.nHaves, ts.nCrashed, ts.nMgrRestarts)
+	st := s.root.core.Queue().Stats()
+	s.tracef("final root respq entries=%d joins=%d released=%d expired=%d withdrawn=%d full=%d inuse=%d rw=%d ew=%d",
+		st.Entries, st.Joins, st.Released, st.Expired, st.Withdrawn, st.Full, st.InUse,
+		st.ReleasedWaiters, st.ExpiredWaiters)
+	s.tracef("final steps=%d redirects=%d waits=%d noents=%d retries=%d queries=%d haves=%d crashed=%d staged=%d mgrRestarts=%d",
+		s.steps, s.nRedirects, s.nWaits, s.nNoEnts, s.nRetries,
+		s.nQueries, s.nHaves, s.nCrashed, s.nStaged, s.nMgrRestarts)
 
 	// Tear down: close every core (parked resolutions drain into the
 	// done buffer through the stop path) and absorb the leftovers so no
 	// goroutine outlives the run.
 	totalParked := 0
-	for _, r := range ts.reds {
+	for _, r := range s.reds {
 		totalParked += r.parked
 		r.core.Close()
 	}
 	drain := time.After(wedgeTimeout)
 	for k := 0; k < totalParked; k++ {
 		select {
-		case <-ts.done:
+		case <-s.done:
 		case <-drain:
 			k = totalParked
 		}
 	}
 
-	lat := append([]time.Duration(nil), ts.opLat...)
+	lat := append([]time.Duration(nil), s.opLat...)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	hops := append([]int(nil), ts.opHops...)
+	hops := append([]int(nil), s.opHops...)
 	sort.Ints(hops)
 	hopP50, hopMax := 0, 0
 	if len(hops) > 0 {
@@ -1357,27 +1308,28 @@ func (ts *TreeSim) finishTree() TreeResult {
 		hopMax = hops[len(hops)-1]
 	}
 
-	total := ts.cfg.Clients * ts.cfg.OpsPerClient
-	return TreeResult{
-		Seed:        ts.cfg.Seed,
-		Hash:        ts.trace.Sum(),
-		Steps:       ts.steps,
-		Levels:      ts.levels,
-		Cores:       len(ts.reds),
-		Servers:     len(ts.servers),
-		Ops:         total - ts.opsLeft,
-		Redirects:   ts.nRedirects,
-		Waits:       ts.nWaits,
-		NoEnts:      ts.nNoEnts,
-		Retries:     ts.nRetries,
-		Queries:     ts.nQueries,
-		Haves:       ts.nHaves,
+	return Result{
+		Seed:        s.cfg.Seed,
+		Hash:        s.trace.Sum(),
+		Lines:       s.trace.Len(),
+		Steps:       s.steps,
+		Levels:      s.levels,
+		Cores:       len(s.reds),
+		Servers:     len(s.servers),
+		Ops:         s.cfg.Clients*s.cfg.OpsPerClient - s.opsLeft,
+		Redirects:   s.nRedirects,
+		Waits:       s.nWaits,
+		NoEnts:      s.nNoEnts,
+		Retries:     s.nRetries,
+		Queries:     s.nQueries,
+		Haves:       s.nHaves,
 		HopP50:      hopP50,
 		HopMax:      hopMax,
 		LatP50:      pctOf(lat, 0.50),
 		LatP99:      pctOf(lat, 0.99),
-		Crashed:     ts.nCrashed,
-		MgrRestarts: ts.nMgrRestarts,
-		Violations:  ts.violations,
+		Crashed:     s.nCrashed,
+		Staged:      s.nStaged,
+		MgrRestarts: s.nMgrRestarts,
+		Violations:  s.violations,
 	}
 }

@@ -17,11 +17,10 @@
 //     shares one Conn per remote address.
 //
 //   - The responder side: Serve reads frames from a connection,
-//     dispatches the decoded requests to a handler on a bounded worker
-//     pool, and writes stream-tagged replies back as they complete —
-//     out of order when handlers finish out of order. A serial mode
-//     (Workers <= 1) preserves the old one-at-a-time semantics for
-//     deterministic harnesses.
+//     dispatches the decoded requests to a handler through a
+//     server-wide Scheduler, and writes stream-tagged replies back as
+//     they complete — out of order when handlers finish out of order.
+//     Without a Scheduler, Serve handles one request at a time inline.
 //
 // Ownership rules: a Call started on a Conn must be finished with
 // exactly one Wait, WaitFrame, or Cancel, which is what releases its

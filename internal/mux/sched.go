@@ -2,8 +2,8 @@ package mux
 
 // Scheduled dispatch: the overload-protection and QoS layer for the
 // responder side of the multiplexed protocol (DESIGN.md §11). A
-// Scheduler is shared by every connection a server accepts and replaces
-// the per-connection FIFO worker pool with
+// Scheduler is shared by every connection a server accepts and gives
+// them
 //
 //   - a strict-priority control lane, so cluster-control frames
 //     (heartbeats, floods, subscriptions) never wait behind bulk data

@@ -2,7 +2,6 @@ package mux
 
 import (
 	"fmt"
-	"sync"
 
 	"scalla/internal/obs"
 	"scalla/internal/proto"
@@ -22,11 +21,6 @@ type Handler func(m proto.Message, r Responder) proto.Message
 
 // ServeOptions tunes a responder-side dispatch loop.
 type ServeOptions struct {
-	// Workers bounds how many requests from one connection execute
-	// concurrently. With Workers <= 1 dispatch is serial and inline —
-	// the deterministic lock-step of the original serve loops. Default
-	// 1.
-	Workers int
 	// Tracer records one span per dispatched request (kind, stream,
 	// reply) when enabled. Default: no tracing.
 	Tracer *obs.Tracer
@@ -34,10 +28,10 @@ type ServeOptions struct {
 	// stops serving the connection.
 	OnError func(err error)
 	// Sched, if set, routes this connection's requests through a
-	// server-wide Scheduler instead of a per-connection worker pool:
-	// strict-priority control lane, DRR fairness across connections,
-	// and bounded-queue shedding with RetryAfter verdicts (DESIGN.md
-	// §11). Workers is ignored — concurrency is the scheduler's.
+	// server-wide Scheduler: strict-priority control lane, DRR fairness
+	// across connections, and bounded-queue shedding with RetryAfter
+	// verdicts (DESIGN.md §11). Without it dispatch is serial and
+	// inline, one request at a time.
 	Sched *Scheduler
 }
 
@@ -76,13 +70,11 @@ type serveState struct {
 }
 
 // Serve reads frames from conn and dispatches them to h until the
-// connection fails or a frame fails to decode. With Workers > 1,
-// requests run on a bounded worker pool — spawned on demand, capped at
-// Workers — and replies are written out of order, tagged by stream;
-// the frame reader blocks once every worker is busy, which is the
-// connection's backpressure. With opt.Sched set, dispatch is handed to
-// the shared scheduler instead and overflow is shed with RetryAfter
-// rather than blocking the reader. Either way Serve returns only after
+// connection fails or a frame fails to decode. With opt.Sched set,
+// requests run on the shared scheduler's workers, replies go out of
+// order tagged by stream, and overflow is shed with RetryAfter rather
+// than blocking the reader. Without it each request is handled inline
+// before the next frame is read. Either way Serve returns only after
 // every in-flight handler has finished.
 func Serve(conn transport.Conn, h Handler, opt ServeOptions) {
 	if opt.Sched != nil {
@@ -90,48 +82,13 @@ func Serve(conn transport.Conn, h Handler, opt ServeOptions) {
 		return
 	}
 	st := &serveState{conn: conn}
-	if opt.Workers <= 1 {
-		for {
-			m, sid, f, err := recvOne(conn, opt)
-			if err != nil {
-				return
-			}
-			dispatch(h, m, Responder{st: st, sid: sid}, opt)
-			f.Release()
-		}
-	}
-
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	spawned := 0
-	defer func() {
-		close(jobs)
-		wg.Wait()
-	}()
 	for {
 		m, sid, f, err := recvOne(conn, opt)
 		if err != nil {
 			return
 		}
-		j := job{m: m, sid: sid, f: f}
-		if spawned < opt.Workers {
-			// Prefer an idle worker; grow the pool only when all are busy.
-			select {
-			case jobs <- j:
-				continue
-			default:
-			}
-			spawned++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					dispatch(h, j.m, Responder{st: st, sid: j.sid}, opt)
-					j.releaseFrame()
-				}
-			}()
-		}
-		jobs <- j
+		dispatch(h, m, Responder{st: st, sid: sid}, opt)
+		f.Release()
 	}
 }
 

@@ -43,6 +43,9 @@ func allocRig(tb testing.TB) (*Proxy, uint64) {
 // frame under the cache lock, the same single-copy discipline as the
 // xrd read path (DESIGN.md §9).
 func TestProxyHitPathAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops pooled frames at random; the un-raced run is the gate")
+	}
 	p, fh := allocRig(t)
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
 	// Warm the frame pool outside the measurement.

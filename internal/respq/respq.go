@@ -97,18 +97,23 @@ type Stats struct {
 	Joins    int64 // waiters added to an existing entry
 	Released int64 // entries satisfied by a server response
 	Expired  int64 // entries timed out past the fast window
-	Full     int64 // allocations refused because no anchor was free
-	InUse    int   // anchors currently occupied
+	// Withdrawn counts entries retired unanswered by Withdraw; each
+	// held exactly one waiter, its owner, which was never called.
+	Withdrawn int64
+	Full      int64 // allocations refused because no anchor was free
+	InUse     int   // anchors currently occupied
 
 	// Waiter-unit counters: where Released and Expired count entries,
 	// these count the individual waiters handed a result. Every waiter
-	// registered (Entries + Joins) is delivered exactly once, so
+	// registered (Entries + Joins) is delivered exactly once or
+	// withdrawn, so
 	//
-	//	Entries + Joins == ReleasedWaiters + ExpiredWaiters + parked
+	//	Entries == Released + Expired + Withdrawn + InUse
+	//	Entries + Joins == ReleasedWaiters + ExpiredWaiters + Withdrawn + parked
 	//
 	// where parked is the number of clients currently blocked on an
-	// in-use entry. The deterministic harness checks this conservation
-	// law after every scheduler step.
+	// in-use entry. The deterministic harness checks both conservation
+	// laws as it runs.
 	ReleasedWaiters int64
 	ExpiredWaiters  int64
 }
@@ -265,6 +270,30 @@ func (q *Queue) Release(tok uint64, server int, pending bool) int {
 	q.mu.Unlock()
 	q.deliver(readyBatch{waiters: ws, res: Result{Server: server, Pending: pending}})
 	return len(ws)
+}
+
+// Withdraw retires the entry identified by tok without calling its
+// waiter: the owner took its answer elsewhere (it joined another entry,
+// or a holder appeared before it parked) and the entry was never
+// published, so nothing would ever release it. Withdraw refuses — and
+// reports false — for a stale token or an entry another waiter has
+// joined; such an entry must be released or expire as usual.
+func (q *Queue) Withdraw(tok uint64) bool {
+	i, tag := untoken(tok)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if i < 0 || i >= len(q.slots) {
+		return false
+	}
+	s := &q.slots[i]
+	if !s.inUse || s.tag != tag || len(s.waiters) != 1 {
+		return false
+	}
+	s.waiters[0] = nil
+	s.waiters = s.waiters[:0]
+	q.retire(i)
+	q.stats.Withdrawn++
+	return true
 }
 
 // retire returns slot i to the free list, bumping its tag so outstanding

@@ -414,3 +414,69 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Errorf("delivered %d, want %d", delivered.Load(), want)
 	}
 }
+
+// checkConservation asserts the two Stats conservation laws, with
+// parked the number of waiters still blocked on in-use entries.
+func checkConservation(t *testing.T, q *Queue, parked int64) {
+	t.Helper()
+	st := q.Stats()
+	if st.Entries != st.Released+st.Expired+st.Withdrawn+int64(st.InUse) {
+		t.Errorf("entries %d != released %d + expired %d + withdrawn %d + in use %d",
+			st.Entries, st.Released, st.Expired, st.Withdrawn, st.InUse)
+	}
+	if st.Entries+st.Joins != st.ReleasedWaiters+st.ExpiredWaiters+st.Withdrawn+parked {
+		t.Errorf("registered %d != released %d + expired %d + withdrawn %d + parked %d",
+			st.Entries+st.Joins, st.ReleasedWaiters, st.ExpiredWaiters, st.Withdrawn, parked)
+	}
+}
+
+func TestWithdrawRetiresWithoutDelivery(t *testing.T) {
+	fc := vclock.NewFake()
+	q := New(Config{Slots: 4, Clock: fc})
+	var col collector
+
+	lone, _ := q.NewEntry(col.waiter())
+	shared, _ := q.NewEntry(col.waiter())
+	if !q.Join(shared, col.waiter()) {
+		t.Fatal("Join failed")
+	}
+	released, _ := q.NewEntry(col.waiter())
+	expiring, _ := q.NewEntry(col.waiter())
+	checkConservation(t, q, 5)
+
+	if !q.Withdraw(lone) {
+		t.Fatal("Withdraw of a lone entry refused")
+	}
+	if q.Withdraw(lone) {
+		t.Error("second Withdraw of the same token accepted")
+	}
+	if q.Withdraw(shared) {
+		t.Error("Withdraw of a joined entry accepted; its other waiter would be lost")
+	}
+	if q.Join(lone, col.waiter()) || q.Release(lone, 1, false) != 0 {
+		t.Error("withdrawn token still valid")
+	}
+	if rs := col.get(); len(rs) != 0 {
+		t.Fatalf("Withdraw delivered %+v", rs)
+	}
+	checkConservation(t, q, 4)
+
+	q.Release(released, 2, false)
+	checkConservation(t, q, 3)
+	q.Release(shared, 3, false)
+	checkConservation(t, q, 1)
+	fc.Advance(DefaultPeriod)
+	if n := q.ExpireNow(); n != 1 {
+		t.Fatalf("ExpireNow = %d, want 1", n)
+	}
+	if q.Withdraw(expiring) {
+		t.Error("Withdraw of an expired entry accepted")
+	}
+	checkConservation(t, q, 0)
+	if st := q.Stats(); st.Withdrawn != 1 || st.InUse != 0 {
+		t.Errorf("stats = %+v, want 1 withdrawn, none in use", st)
+	}
+	if rs := col.get(); len(rs) != 4 {
+		t.Errorf("delivered %d results, want 4 (every waiter but the withdrawn one)", len(rs))
+	}
+}
