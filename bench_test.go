@@ -1,17 +1,18 @@
-// Benchmarks for every experiment in DESIGN.md plus micro-benchmarks of
-// the location cache's hot paths.
+// Benchmarks for every experiment in DESIGN.md plus micro-benchmarks
+// that need more than one package.
 //
 // The BenchmarkE* entries wrap the experiment harness at quick scale —
 // each iteration regenerates that experiment's table (printed once with
 // -v). cmd/scalla-bench runs the same experiments at full scale with
 // formatted output. The Benchmark{Cache,Locate}* entries are
-// conventional hot-path micro-benchmarks with allocation counts.
+// conventional hot-path micro-benchmarks with allocation counts; the
+// cache's plain add/fetch and the wire codec are benchmarked in their
+// own packages (internal/cache, internal/proto).
 package scalla_test
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +20,6 @@ import (
 	"scalla/internal/bitvec"
 	"scalla/internal/cache"
 	"scalla/internal/experiments"
-	"scalla/internal/proto"
 	"scalla/internal/vclock"
 )
 
@@ -30,6 +30,9 @@ func benchExperiment(b *testing.B, fn func(experiments.Scale) experiments.Table)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab := fn(experiments.Scale{Quick: true})
+		if f := tab.Failures(); len(f) > 0 {
+			b.Fatalf("%s: %v", tab.ID, f)
+		}
 		if i == 0 {
 			b.Logf("\n%s", tab)
 		}
@@ -56,6 +59,8 @@ func BenchmarkE17ScaleSweep(b *testing.B)       { benchExperiment(b, experiments
 func BenchmarkE18FanoutAblation(b *testing.B)   { benchExperiment(b, experiments.E18FanoutAblation) }
 func BenchmarkE19Throughput(b *testing.B)       { benchExperiment(b, experiments.E19Throughput) }
 func BenchmarkE20Selection(b *testing.B)        { benchExperiment(b, experiments.E20SelectionPolicies) }
+func BenchmarkE22Surge(b *testing.B)            { benchExperiment(b, experiments.E22Surge) }
+func BenchmarkE23DepthScaling(b *testing.B)     { benchExperiment(b, experiments.E23DepthScaling) }
 
 // ----------------------------------------------------- cache micros --
 
@@ -69,31 +74,6 @@ func benchCache() *cache.Cache {
 
 func benchName(i int) string {
 	return fmt.Sprintf("/store/data/Run2012A/AOD/%04d/F%08d.root", i%1000, i)
-}
-
-// BenchmarkCacheAdd measures location-object insertion, the rate that
-// bounds the paper's 1000 objects/second figure (Section III-A2).
-func BenchmarkCacheAdd(b *testing.B) {
-	c := benchCache()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Add(benchName(i), bitvec.Full, 0)
-	}
-}
-
-// BenchmarkCacheFetchHit measures the cached look-up the paper counts
-// inside its <50µs-per-level budget.
-func BenchmarkCacheFetchHit(b *testing.B) {
-	c := benchCache()
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		c.Add(benchName(i), bitvec.Full, 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Fetch(benchName(i%n), bitvec.Full, 0)
-	}
 }
 
 // BenchmarkCacheFetchCorrected measures a fetch that must apply the
@@ -140,69 +120,6 @@ func BenchmarkCacheTick(b *testing.B) {
 		b.StartTimer()
 		c.Tick()
 	}
-}
-
-// BenchmarkCacheParallelFetch measures cached look-ups under concurrent
-// load with names pre-generated outside the timed loop, so the figure is
-// pure Fetch cost. Run with -cpu 1,4,8 to see how resolve throughput
-// scales with cores; this is the headline number for the lock-striped
-// cache (EXPERIMENTS.md records the before/after table).
-func BenchmarkCacheParallelFetch(b *testing.B) {
-	c := benchCache()
-	const n = 100_000
-	names := make([]string, n)
-	for i := range names {
-		names[i] = benchName(i)
-		c.Add(names[i], bitvec.Full, 0)
-	}
-	var seq atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		// Distinct prime-strided start offsets keep workers from
-		// marching over the same keys (and shards) in lockstep.
-		i := int(seq.Add(1)) * 7919
-		for pb.Next() {
-			c.Fetch(names[i%n], bitvec.Full, 0)
-			i++
-		}
-	})
-}
-
-// -------------------------------------------------------- wire micros --
-
-// benchQuery is a representative hot-path frame: the Query flooded to
-// every subordinate on a cache miss. It is pre-boxed as a Message so
-// the benchmarks measure the marshal path, not interface conversion.
-var benchQuery proto.Message = proto.Query{
-	QID:  42,
-	Path: "/store/data/Run2012A/AOD/0042/F00000042.root",
-	Hash: 0xdeadbeef,
-}
-
-// BenchmarkMarshalAlloc measures the allocating proto.Marshal path: one
-// fresh buffer per frame.
-func BenchmarkMarshalAlloc(b *testing.B) {
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			_ = proto.Marshal(benchQuery)
-		}
-	})
-}
-
-// BenchmarkMarshalReuse measures the pooled MarshalFrame/Release cycle
-// that every cmsd/xrd send path now uses: the buffer is recycled, so
-// the steady state is allocation-free.
-func BenchmarkMarshalReuse(b *testing.B) {
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			f := proto.MarshalFrame(benchQuery)
-			_ = f.Bytes()
-			f.Release()
-		}
-	})
 }
 
 // ---------------------------------------------------- cluster micros --

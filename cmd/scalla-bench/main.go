@@ -6,10 +6,15 @@
 //	scalla-bench -quick          # smaller sizes, a few seconds each
 //	scalla-bench -run E4,E7      # selected experiments
 //	scalla-bench -list           # list experiment ids and claims
-//	scalla-bench -json -quick    # micro-bench suite -> BENCH_<date>.json
+//	scalla-bench -figure2        # render the paper's Figure 2
+//
+// It exits 1 when a table reports a failed run (an experiments.ErrNote
+// note), as E22 does for a broken scheduler bound and E23 for a broken
+// simulator invariant.
 //
 // The per-experiment mapping to the paper's sections lives in DESIGN.md;
-// measured-vs-paper results are recorded in EXPERIMENTS.md.
+// measured-vs-paper results are recorded in EXPERIMENTS.md. End-to-end
+// latency and throughput over a real tree are measured by perfbench/.
 package main
 
 import (
@@ -29,60 +34,12 @@ func main() {
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	fig2 := flag.Bool("figure2", false, "render the paper's Figure 2 (hash table + eviction windows) from a live cache")
-	jsonOut := flag.Bool("json", false, "run the micro-benchmark suite and write BENCH_<date>.json")
-	surge := flag.Bool("surge", false, "run the TCP overload-protection surge bench standalone, with queue-depth assertions")
-	depth4 := flag.Bool("depth4", false, "run the depth-4 tree scaling sweep (simulated servers over real cores) and print the scaling table")
-	netMode := flag.String("net", "", "run the e2e data-plane suite over the named interconnect: tcp (real loopback sockets)")
 	flag.Parse()
-
-	if *netMode != "" {
-		if *netMode != "tcp" {
-			fmt.Fprintf(os.Stderr, "scalla-bench: unknown -net mode %q (only tcp)\n", *netMode)
-			os.Exit(2)
-		}
-		if err := runNetTCP(*quick); err != nil {
-			fmt.Fprintf(os.Stderr, "scalla-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *depth4 {
-		rows, err := runDepth4(*quick)
-		printDepth4(rows)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scalla-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *fig2 {
 		renderFigure2()
 		return
 	}
-	if *surge {
-		rows, err := runSurge(*quick, true)
-		for _, r := range rows {
-			fmt.Printf("%-22s n=%-8d p50=%8.0fµs p99=%8.0fµs %10.0f ops/s %8.1f MB/s\n",
-				r.Op, r.N, r.P50US, r.P99US, r.OpsPerSec, r.MBPerSec)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scalla-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut {
-		name, err := runJSONBench(*quick)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scalla-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", name)
-		return
-	}
-
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Printf("%-4s %s\n", id, experiments.Describe(id))
@@ -97,6 +54,7 @@ func main() {
 	} else {
 		ids = strings.Split(*run, ",")
 	}
+	failed := false
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		fn := experiments.ByID(id)
@@ -104,7 +62,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
 			os.Exit(2)
 		}
-		fmt.Println(fn(scale))
+		t := fn(scale)
+		fmt.Println(t)
+		failed = failed || len(t.Failures()) > 0
+	}
+	if failed {
+		fmt.Fprintln(os.Stderr, "scalla-bench: a run broke a bound or failed (see the \"note: error:\" lines)")
+		os.Exit(1)
 	}
 }
 

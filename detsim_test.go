@@ -53,22 +53,22 @@ func recordDetsimSeed(t *testing.T, seed int64) {
 }
 
 // runDetsimSeed executes one config twice, checking invariants and the
-// replay guarantee. It reports success.
-func runDetsimSeed(t *testing.T, cfg detsim.Config) bool {
+// replay guarantee. It returns the checked result and reports success.
+func runDetsimSeed(t *testing.T, cfg detsim.Config) (detsim.Result, bool) {
 	t.Helper()
 	a := detsim.Run(cfg)
 	if len(a.Violations) != 0 {
 		for _, v := range a.Violations {
 			t.Errorf("%d servers, seed %d: invariant violation: %s", a.Servers, cfg.Seed, v)
 		}
-		return false
+		return a, false
 	}
 	b := detsim.Run(cfg)
 	if a.Hash != b.Hash || a.Lines != b.Lines {
 		t.Errorf("%d servers, seed %d: replay diverged: %s vs %s", a.Servers, cfg.Seed, a.Hash, b.Hash)
-		return false
+		return a, false
 	}
-	return true
+	return a, true
 }
 
 // cellCfg is one flat-cell simulation: the default depth-1 tree of 4
@@ -88,15 +88,15 @@ func TestDetsimSweep(t *testing.T) {
 	var ops, waits, staged, crashed int
 	for i := int64(0); i < seeds; i++ {
 		seed := base + i
-		if !runDetsimSeed(t, cellCfg(seed, faults.Plan{}, 0)) {
+		if _, ok := runDetsimSeed(t, cellCfg(seed, faults.Plan{}, 0)); !ok {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		if !runDetsimSeed(t, cellCfg(seed, plan, 2)) {
+		r, ok := runDetsimSeed(t, cellCfg(seed, plan, 2))
+		if !ok {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		r := detsim.Run(cellCfg(seed, plan, 2))
 		ops += r.Ops
 		waits += r.Waits
 		staged += r.Staged
@@ -142,15 +142,15 @@ func TestDetsimDepth4Sweep(t *testing.T) {
 	hopMax := 0
 	for i := int64(0); i < seeds; i++ {
 		seed := base + i
-		if !runDetsimSeed(t, depth4Cfg(seed, faults.Plan{}, 0, 0)) {
+		if _, ok := runDetsimSeed(t, depth4Cfg(seed, faults.Plan{}, 0, 0)); !ok {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		if !runDetsimSeed(t, depth4Cfg(seed, plan, 4, 1)) {
+		r, ok := runDetsimSeed(t, depth4Cfg(seed, plan, 4, 1))
+		if !ok {
 			recordDetsimSeed(t, seed)
 			return
 		}
-		r := detsim.Run(depth4Cfg(seed, plan, 4, 1))
 		ops += r.Ops
 		waits += r.Waits
 		redirects += r.Redirects

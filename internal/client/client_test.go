@@ -32,7 +32,14 @@ type rig struct {
 
 func buildCluster(t *testing.T, nServers int) *rig {
 	t.Helper()
-	net := transport.NewInProc(transport.InProcConfig{})
+	return buildClusterLat(t, nServers, 0)
+}
+
+// buildClusterLat builds the rig over an in-process network that delays
+// every frame by lat one way.
+func buildClusterLat(t testing.TB, nServers int, lat time.Duration) *rig {
+	t.Helper()
+	net := transport.NewInProc(transport.InProcConfig{Latency: lat})
 	r := &rig{net: net}
 	mgr, err := cmsd.NewNode(cmsd.NodeConfig{
 		Name: "mgr", Role: proto.RoleManager,

@@ -1,8 +1,9 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md (E1–E20), each regenerating a table of
-// the corresponding quantitative claim from the paper. cmd/scalla-bench
-// prints the tables; the root bench_test.go wraps the same functions in
-// testing.B benchmarks.
+// per experiment in DESIGN.md (E1–E20, E22 and E23), each regenerating a
+// table of the corresponding quantitative claim from the paper.
+// cmd/scalla-bench prints the tables; the root bench_test.go wraps the
+// same functions in testing.B benchmarks. E21 (the edge-proxy data
+// lifecycle) is measured end to end by perfbench's edge-replay workload.
 package experiments
 
 import (
@@ -23,6 +24,22 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+}
+
+// ErrNote prefixes a note that reports a failed run: a bound the run
+// broke, or an error that left the table incomplete. scalla-bench exits
+// non-zero when any table carries one.
+const ErrNote = "error: "
+
+// Failures returns the table's ErrNote notes.
+func (t Table) Failures() []string {
+	var f []string
+	for _, n := range t.Notes {
+		if strings.HasPrefix(n, ErrNote) {
+			f = append(f, n)
+		}
+	}
+	return f
 }
 
 // String renders the table for the terminal.
@@ -143,6 +160,8 @@ func All(s Scale) []Table {
 		E18FanoutAblation(s),
 		E19Throughput(s),
 		E20SelectionPolicies(s),
+		E22Surge(s),
+		E23DepthScaling(s),
 	}
 }
 
@@ -156,6 +175,7 @@ func ByID(id string) func(Scale) Table {
 		"E13": E13Deadline, "E14": E14Registration, "E15": E15RefreshRecovery,
 		"E16": E16Qserv, "E17": E17ScaleSweep, "E18": E18FanoutAblation,
 		"E19": E19Throughput, "E20": E20SelectionPolicies,
+		"E22": E22Surge, "E23": E23DepthScaling,
 	}
 	return m[strings.ToUpper(id)]
 }
@@ -163,7 +183,7 @@ func ByID(id string) func(Scale) Table {
 // IDs lists the experiment ids in order.
 func IDs() []string {
 	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8",
-		"E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"}
+		"E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E22", "E23"}
 }
 
 // Describe returns a one-line description of an experiment.
@@ -189,6 +209,8 @@ func Describe(id string) string {
 		"E18": "fanout ablation: why 64 (II-B1 fn.2)",
 		"E19": "BaBar-style metadata workload throughput (II-A)",
 		"E20": "replica selection policies: load/frequency/space/round-robin (II-B3)",
+		"E22": "overload protection: control lane and victim under a 10k-client TCP surge (II-B5)",
+		"E23": "resolve cost vs tree depth and width, depth 3 to 5 (II-B1, III)",
 	}
 	return m[strings.ToUpper(id)]
 }

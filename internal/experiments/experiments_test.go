@@ -371,6 +371,45 @@ func TestE20SelectionPolicies(t *testing.T) {
 	}
 }
 
+// TestE22Surge checks the scheduler's overload bounds on the quick-scale
+// surge (256 clients over real TCP): the data queue never exceeds
+// QueueLimit plus one guarantee slot per client, the scheduler sheds
+// rather than queueing without limit, everything drains on close, and
+// the surge actually formed. E22Surge reports each broken bound as an
+// ErrNote. It runs alone (not parallel) so the other experiments do not
+// share its host.
+func TestE22Surge(t *testing.T) {
+	tab := runQuick(t, E22Surge)
+	for _, f := range tab.Failures() {
+		t.Errorf("surge: %s", f)
+	}
+}
+
+// TestE23DepthScaling checks the tree bounds every walk at one redirect
+// per redirector level. Like TestE22Surge it runs alone: it keeps both
+// CPUs of a small host busy for seconds, which would skew the timing
+// ratios the parallel experiments assert.
+func TestE23DepthScaling(t *testing.T) {
+	tab := runQuick(t, E23DepthScaling)
+	for _, f := range tab.Failures() {
+		t.Errorf("depth sweep: %s", f)
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d, want 3 shapes (notes: %v)", len(tab.Rows), tab.Notes)
+	}
+	wantDepth := []int64{3, 4, 4} // 1024@64, 512@16, 1024@16
+	for i, r := range tab.Rows {
+		depth, hopMax := cellInt(t, r[2]), cellInt(t, r[6])
+		if depth != wantDepth[i] {
+			t.Errorf("%s@%s: depth %d, want %d", r[0], r[1], depth, wantDepth[i])
+		}
+		// One redirect per redirector level, never more.
+		if hopMax != depth-1 {
+			t.Errorf("%s@%s: hop max %d, want depth-1 = %d", r[0], r[1], hopMax, depth-1)
+		}
+	}
+}
+
 func TestByIDAndIDs(t *testing.T) {
 	for _, id := range IDs() {
 		if ByID(id) == nil {

@@ -295,3 +295,21 @@ func TestEmitterStampsAndTicks(t *testing.T) {
 		t.Fatal("sink channel should be closed after Run exits")
 	}
 }
+
+// BenchmarkFrameEncode measures one summary frame's round trip through
+// the monitoring stream's codec: Encode, then ParseFrame.
+func BenchmarkFrameEncode(b *testing.B) {
+	f := Frame{
+		V: FrameVersion, Node: "mgr", Role: "manager", Seq: 1,
+		Cache:   &CacheSummary{Entries: 100_000, Buckets: 196_418},
+		RespQ:   &RespQSummary{Depth: 12},
+		Cluster: &ClusterSummary{Members: 64, Online: 64},
+		Ops:     map[string]OpSummary{"resolve.latency": {Count: 1000, P50US: 120}},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseFrame(f.Encode()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -151,3 +151,16 @@ func TestTracerConcurrent(t *testing.T) {
 		ids[s.ID] = true
 	}
 }
+
+// BenchmarkSpan measures one traced resolve with tracing on: start a
+// span, record one event, end it into the ring.
+func BenchmarkSpan(b *testing.B) {
+	tr := NewTracer(512, nil)
+	tr.SetEnabled(true)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp := tr.Start("resolve", "/store/bench.root")
+		sp.Event("cache.hit", "")
+		sp.End("redirect srv0:data")
+	}
+}

@@ -13,9 +13,8 @@
 // connection (see internal/mux): a requester tags each frame with a
 // nonzero stream of its choosing, and a responder must echo the
 // request's stream on the reply so replies can be demultiplexed out of
-// order. Stream 0 is the lock-step default used by Marshal and
-// MarshalFrame; Unmarshal ignores the field, so single-stream callers
-// never see it.
+// order. Stream 0 is the lock-step default used by Marshal;
+// Unmarshal ignores the field, so single-stream callers never see it.
 package proto
 
 import (
@@ -574,8 +573,8 @@ func (r *reader) strs() []string {
 const headerLen = 5
 
 // Marshal encodes m on stream 0 into a freshly allocated frame. Hot
-// paths that send the frame immediately should prefer MarshalFrame,
-// which recycles its buffer through a pool.
+// paths that send the frame immediately should prefer
+// MarshalFrameStream, which recycles its buffer through a pool.
 func Marshal(m Message) []byte {
 	return MarshalStream(m, 0)
 }
@@ -601,14 +600,15 @@ func StreamID(frame []byte) uint32 {
 // default sequential-read chunk stays on the pooled path.
 const maxPooledFrame = 128 << 10
 
-// framePool recycles Frame buffers between MarshalFrame and Release.
+// framePool recycles Frame buffers between MarshalFrameStream (or
+// GetFrame/CopyFrame) and Release.
 var framePool = sync.Pool{
 	New: func() any { return &Frame{b: make([]byte, 0, 256)} },
 }
 
 // Frame is a pooled buffer holding one marshaled message.
 //
-// Ownership rule: the goroutine that called MarshalFrame owns the frame
+// Ownership rule: the goroutine that obtained the frame owns it
 // until it calls Release, after which the bytes must not be touched.
 // Releasing after transport.Conn.Send returns is safe: every transport
 // either writes the frame out synchronously or copies it before
@@ -677,13 +677,6 @@ func AliasesFrame(m Message) bool {
 		return true
 	}
 	return false
-}
-
-// MarshalFrame encodes m on stream 0 into a pooled frame; the caller
-// must call Release on the result once the bytes have been handed to a
-// transport.
-func MarshalFrame(m Message) *Frame {
-	return MarshalFrameStream(m, 0)
 }
 
 // MarshalFrameStream encodes m tagged with the given stream ID into a

@@ -163,11 +163,38 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
+// benchQuery is a representative hot-path frame: the Query flooded to
+// every subordinate on a cache miss. It is pre-boxed as a Message so
+// the benchmarks measure the marshal path, not interface conversion.
+var benchQuery Message = Query{
+	QID:  42,
+	Path: "/store/data/Run2012A/AOD/0042/F00000042.root",
+	Hash: 0xdeadbeef,
+}
+
+// BenchmarkMarshalQuery measures the allocating Marshal path: one fresh
+// buffer per frame.
 func BenchmarkMarshalQuery(b *testing.B) {
-	q := Query{QID: 1, Path: "/store/data/run/file-000123.root", Hash: 0xABCD1234}
-	for i := 0; i < b.N; i++ {
-		_ = Marshal(q)
-	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			_ = Marshal(benchQuery)
+		}
+	})
+}
+
+// BenchmarkMarshalFrameStream measures the pooled marshal/Release cycle
+// every send path uses: the buffer is recycled, so the steady state is
+// allocation-free.
+func BenchmarkMarshalFrameStream(b *testing.B) {
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			f := MarshalFrameStream(benchQuery, 0)
+			_ = f.Bytes()
+			f.Release()
+		}
+	})
 }
 
 func BenchmarkUnmarshalQuery(b *testing.B) {
