@@ -200,8 +200,11 @@ func BenchmarkLocateCachedParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkOpenReadClose measures a full data-plane round trip: resolve,
-// open at the server, read 4 KiB, close.
+// BenchmarkOpenReadClose measures a full data-plane round trip: open,
+// read 4 KiB, close. "walk" resolves every open from the manager: a
+// Relocate outside the timer drops the client's location lease and
+// refreshes the manager's cache first. "lease" reopens the same path,
+// so every open after the first goes straight to the data server.
 func BenchmarkOpenReadClose(b *testing.B) {
 	cl, err := scalla.StartCluster(scalla.Options{
 		Servers:    4,
@@ -212,23 +215,42 @@ func BenchmarkOpenReadClose(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cl.Stop()
-	payload := make([]byte, 4096)
-	cl.Store(1).Put("/bench/blob", payload)
-	c := cl.NewClient()
-	defer c.Close()
-	if _, err := c.Locate("/bench/blob", false); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := c.Open("/bench/blob")
-		if err != nil {
-			b.Fatal(err)
+	const path = "/bench/blob"
+	cl.Store(1).Put(path, make([]byte, 4096))
+	for _, walk := range []bool{true, false} {
+		name := "lease"
+		if walk {
+			name = "walk"
 		}
-		if _, err := f.ReadAt(buf, 0); err != nil && err.Error() != "EOF" {
-			b.Fatal(err)
-		}
-		f.Close()
+		b.Run(name, func(b *testing.B) {
+			c := cl.NewClient()
+			defer c.Close()
+			if _, err := c.Locate(path, false); err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if walk {
+					b.StopTimer()
+					if _, err := c.Relocate(path, false, ""); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				f, err := c.Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.ReadAt(buf, 0); err != nil && err.Error() != "EOF" {
+					b.Fatal(err)
+				}
+				f.Close()
+			}
+			b.StopTimer()
+			if ls := c.LeaseStats(); walk && ls.Hits != 0 || !walk && ls.Hits < int64(b.N-1) {
+				b.Fatalf("%s case: LeaseStats %+v", name, ls)
+			}
+		})
 	}
 }

@@ -329,6 +329,22 @@ func TestChaosClusterSurvivesRandomFaults(t *testing.T) {
 		time.Sleep(settleWait)
 	}
 
+	// A dead lease: cut the data face of the server the client's lease
+	// on one file names, leaving its control link up so the manager
+	// keeps vectoring there too, and read the file again.
+	leasedPath := paths[rig.rng.Intn(len(paths))]
+	fh, err := rig.cl.Open(leasedPath)
+	if err != nil {
+		t.Fatalf("chaos[dead-lease]: open of %s on a healed network: %v", leasedPath, err)
+	}
+	leasedSrv := fh.Server()
+	fh.Close()
+	rig.fnet.Sever(leasedSrv)
+	if err := rig.readWithRecovery(t, leasedPath, opBudget); err != nil {
+		t.Errorf("chaos[dead-lease]: %s unreadable with its leased server cut: %v", leasedPath, err)
+	}
+	rig.fnet.Heal(leasedSrv)
+
 	// All-replicas-failed surfaces as the typed error with the full
 	// tried set — sever both managers and look.
 	for _, m := range c.ManagerAddrs() {
@@ -362,6 +378,14 @@ func TestChaosClusterSurvivesRandomFaults(t *testing.T) {
 				t.Fatalf("chaos: %s never recovered after healing: %v", p, lastErr)
 			}
 		}
+	}
+
+	// Vacuity: reads were served both on location leases and by walks
+	// after a lease went stale under the faults.
+	ls := rig.cl.LeaseStats()
+	t.Logf("chaos: leases %+v", ls)
+	if ls.Hits == 0 || ls.Fallbacks == 0 {
+		t.Errorf("chaos: LeaseStats = %+v; want hits and fallbacks", ls)
 	}
 
 	// The injections must be visible operator-side: counters and /tracez

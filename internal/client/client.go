@@ -2,7 +2,9 @@
 // manager (or any of its replicas), follows redirects down the tree,
 // honours wait/retry verdicts, and transparently recovers from stale
 // location information by requesting a cache refresh that names the
-// failing host (paper Sections II-B2/3 and III-C1).
+// failing host (paper Sections II-B2/3 and III-C1). A bounded location
+// lease sends repeat read-opens and stats of a path straight to the
+// data server that last served it (DESIGN.md §15).
 package client
 
 import (
@@ -12,10 +14,12 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scalla/internal/backoff"
 	"scalla/internal/mux"
+	"scalla/internal/names"
 	"scalla/internal/obs"
 	"scalla/internal/proto"
 	"scalla/internal/transport"
@@ -170,6 +174,8 @@ type Client struct {
 	retry *backoff.Backoff
 	pool  *mux.Pool
 
+	leases leaseTable
+
 	// shedRng jitters retry-after pauses so a cohort of shed clients
 	// does not stampede back in lockstep; seeded for reproducibility.
 	shedMu  sync.Mutex
@@ -203,6 +209,117 @@ func (cl *Client) shedDelay(r proto.RetryAfter) time.Duration {
 	d := h/2 + time.Duration(cl.shedRng.Int63n(int64(h/2)+1))
 	cl.shedMu.Unlock()
 	return d
+}
+
+// leaseSlots caps the location lease table. It is direct-mapped by
+// path hash, so its memory stays flat however many distinct paths a
+// client touches; 1<<14 slots keep ~95 % of opens of a Zipf 1.1 hot
+// set over 10⁴ files (perfbench's meta-hot) on their lease.
+const leaseSlots = 1 << 14
+
+// lease names the data server that last served path.
+type lease struct {
+	path, addr string
+}
+
+// leaseTable maps a path to the data server that last answered an Open
+// of it, or a Stat that found it (DESIGN.md §15). A lookup compares the
+// full path, so two paths sharing a slot evict each other but never
+// read each other's server. The slots are allocated on the first fill,
+// so the many clients that only Locate (E3, E13) cost nothing.
+type leaseTable struct {
+	mu    sync.Mutex
+	slots *[leaseSlots]lease
+
+	hits, fallbacks atomic.Int64
+}
+
+func leaseSlot(path string) uint32 { return names.Hash(path) & (leaseSlots - 1) }
+
+// get returns the server path is leased to.
+func (t *leaseTable) get(path string) (string, bool) {
+	i := leaseSlot(path)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.slots == nil || t.slots[i].addr == "" || t.slots[i].path != path {
+		return "", false
+	}
+	return t.slots[i].addr, true
+}
+
+// put leases path to addr, evicting whatever shared its slot.
+func (t *leaseTable) put(path, addr string) {
+	i := leaseSlot(path)
+	t.mu.Lock()
+	if t.slots == nil {
+		t.slots = new([leaseSlots]lease)
+	}
+	t.slots[i] = lease{path: path, addr: addr}
+	t.mu.Unlock()
+}
+
+// drop forgets path's lease. With addr set it forgets it only while it
+// still names addr, so a failed lease does not discard a fresher one a
+// concurrent open recorded.
+func (t *leaseTable) drop(path, addr string) {
+	i := leaseSlot(path)
+	t.mu.Lock()
+	if t.slots != nil && t.slots[i].path == path && (addr == "" || t.slots[i].addr == addr) {
+		t.slots[i] = lease{}
+	}
+	t.mu.Unlock()
+}
+
+// LeaseStats counts location-lease outcomes: Hits are read-opens and
+// stats a leased data server answered directly; Fallbacks are leased
+// requests that failed there and walked from a manager instead.
+type LeaseStats struct {
+	Hits, Fallbacks int64
+}
+
+// LeaseStats returns the client's lease counters.
+func (cl *Client) LeaseStats() LeaseStats {
+	return LeaseStats{Hits: cl.leases.hits.Load(), Fallbacks: cl.leases.fallbacks.Load()}
+}
+
+// leased sends m once to the data server path is leased to, over the
+// pooled connection and without backoff. It returns the reply and the
+// server, or a nil reply when there is no lease or the exchange failed;
+// the caller judges the reply and calls leaseFailed on anything but
+// the answer it wanted.
+func (cl *Client) leased(path string, m proto.Message) (proto.Message, string) {
+	addr, ok := cl.leases.get(path)
+	if !ok {
+		return nil, ""
+	}
+	mc, err := cl.pool.Get(addr)
+	if err != nil {
+		cl.leaseFailed(path, addr)
+		return nil, ""
+	}
+	reply, err := mc.Call(m, cl.cfg.RPCTimeout)
+	if err != nil {
+		cl.pool.Drop(addr, mc)
+		cl.leaseFailed(path, addr)
+		return nil, ""
+	}
+	return reply, addr
+}
+
+// leaseFailed drops a lease whose server did not serve path, so the
+// caller's walk from a manager decides afresh.
+func (cl *Client) leaseFailed(path, addr string) {
+	cl.leases.drop(path, addr)
+	cl.leases.fallbacks.Add(1)
+}
+
+// leaseFrom records that the data server addr served path. An answer
+// from a manager replica (a proxy standing in for the tree) is no
+// shortcut and is not leased.
+func (cl *Client) leaseFrom(path, addr string) {
+	if !cl.isManager(addr) {
+		cl.leases.put(path, addr)
+	}
 }
 
 // Close drops all cached connections, failing any in-flight requests.
@@ -411,6 +528,7 @@ func (cl *Client) Locate(path string, write bool) (string, error) {
 // created after the manager cached their non-existence (the timing
 // edge effects of Section III-C1).
 func (cl *Client) Relocate(path string, write bool, avoid string) (string, error) {
+	cl.leases.drop(path, "")
 	return cl.locate(proto.Locate{Path: path, Write: write, Refresh: true, Avoid: avoid})
 }
 
@@ -566,6 +684,15 @@ func (cl *Client) Create(path string) (*File, error) {
 }
 
 func (cl *Client) open(path string, write, create bool) (*File, error) {
+	if !write && !create {
+		if reply, addr := cl.leased(path, proto.Open{Path: path}); reply != nil {
+			if r, ok := reply.(proto.OpenOK); ok {
+				cl.leases.hits.Add(1)
+				return &File{cl: cl, path: path, addr: addr, fh: r.FH, size: r.Size}, nil
+			}
+			cl.leaseFailed(path, addr)
+		}
+	}
 	reply, addr, err := cl.walk(proto.Open{Path: path, Write: write, Create: create})
 	if err != nil {
 		// Stale-location recovery (Section III-C1): when the walk died
@@ -582,9 +709,16 @@ func (cl *Client) open(path string, write, create bool) (*File, error) {
 		}
 		return nil, err
 	}
+	return cl.opened(path, write || create, reply, addr)
+}
+
+// opened turns a walk's terminal reply to an Open into a File, leasing
+// path to the server that opened it.
+func (cl *Client) opened(path string, write bool, reply proto.Message, addr string) (*File, error) {
 	switch r := reply.(type) {
 	case proto.OpenOK:
-		return &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write || create, size: r.Size}, nil
+		cl.leaseFrom(path, addr)
+		return &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write, size: r.Size}, nil
 	case proto.Err:
 		return nil, errFrom(r)
 	default:
@@ -621,14 +755,7 @@ func (cl *Client) openRefreshed(path string, write, create bool, avoid string) (
 	if err != nil {
 		return nil, err
 	}
-	switch r := reply.(type) {
-	case proto.OpenOK:
-		return &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write || create, size: r.Size}, nil
-	case proto.Err:
-		return nil, errFrom(r)
-	default:
-		return nil, fmt.Errorf("%w: unexpected open reply %T", ErrIO, reply)
-	}
+	return cl.opened(path, write || create, reply, addr)
 }
 
 // Path returns the file's path.
@@ -645,6 +772,7 @@ func (f *File) Size() int64 { return f.size }
 // reopens at the fresh location (Section III-C1).
 func (f *File) recover() error {
 	f.cancelReadahead() // the window targets the failed server and handle
+	f.cl.leases.drop(f.path, f.addr)
 	reply, addr, err := f.cl.walk(proto.Locate{Path: f.path, Write: f.write, Refresh: true, Avoid: f.addr})
 	if err != nil {
 		return err
@@ -669,6 +797,7 @@ func (f *File) recover() error {
 		}
 		return fmt.Errorf("%w: reopen failed (%T)", ErrIO, reply)
 	}
+	f.cl.leaseFrom(f.path, addr)
 	f.addr, f.fh, f.size = addr, okMsg.FH, okMsg.Size
 	return nil
 }
@@ -1009,9 +1138,18 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Stat resolves path and reports its metadata.
+// Stat resolves path and reports its metadata. A leased path is asked
+// of its data server first; only an answer that it exists is taken
+// from there, anything else walks from a manager.
 func (cl *Client) Stat(path string) (proto.StatOK, error) {
-	reply, _, err := cl.walk(proto.Stat{Path: path})
+	if reply, addr := cl.leased(path, proto.Stat{Path: path}); reply != nil {
+		if r, ok := reply.(proto.StatOK); ok && r.Exists {
+			cl.leases.hits.Add(1)
+			return r, nil
+		}
+		cl.leaseFailed(path, addr)
+	}
+	reply, addr, err := cl.walk(proto.Stat{Path: path})
 	if err != nil {
 		return proto.StatOK{}, err
 	}
@@ -1020,6 +1158,7 @@ func (cl *Client) Stat(path string) (proto.StatOK, error) {
 		if !r.Exists {
 			return r, ErrNotExist
 		}
+		cl.leaseFrom(path, addr)
 		return r, nil
 	case proto.Err:
 		return proto.StatOK{}, errFrom(r)
@@ -1030,6 +1169,7 @@ func (cl *Client) Stat(path string) (proto.StatOK, error) {
 
 // Unlink removes path at its (selected) holder.
 func (cl *Client) Unlink(path string) error {
+	cl.leases.drop(path, "")
 	reply, _, err := cl.walk(proto.Unlink{Path: path})
 	if err != nil {
 		return err

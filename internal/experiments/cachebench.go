@@ -134,13 +134,19 @@ func E5LookupResize(s Scale) Table {
 	})
 	checkpoints := []int{n / 100, n / 10, n / 2, n}
 	next := 0
+	// probe reports the fastest of a few passes, so a pass that CPU load
+	// from elsewhere slowed down does not read as a cost of the table.
 	probe := func(upto int) time.Duration {
-		const probes = 20000
-		start := time.Now()
-		for i := 0; i < probes; i++ {
-			c.Fetch(hepPath(i*7919%upto), bitvec.Full, 0)
+		const probes, passes = 20000, 5
+		best := time.Duration(math.MaxInt64)
+		for range passes {
+			start := time.Now()
+			for i := 0; i < probes; i++ {
+				c.Fetch(hepPath(i*7919%upto), bitvec.Full, 0)
+			}
+			best = min(best, time.Since(start)/probes)
 		}
-		return time.Since(start) / probes
+		return best
 	}
 	for i := 0; i < n; i++ {
 		c.Add(hepPath(i), bitvec.Full, 0)
@@ -153,6 +159,7 @@ func E5LookupResize(s Scale) Table {
 			next++
 		}
 	}
+	t.Notes = append(t.Notes, "lookup mean: the fastest of 5 passes of 20 000 fetches at each checkpoint")
 	return t
 }
 

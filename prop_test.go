@@ -83,6 +83,11 @@ func TestPropClusterMatchesOracle(t *testing.T) {
 	defer c.Stop()
 	cl := c.NewClient()
 	defer cl.Close()
+	// The peer only reads, so the client's writes and deletes move files
+	// under the peer's location leases.
+	peer := c.NewClient()
+	defer peer.Close()
+	readers := []*Client{cl, peer}
 
 	oracle := map[string][]byte{}
 	nameOf := func(i int) string { return fmt.Sprintf("/prop/f%02d", i%12) }
@@ -114,34 +119,38 @@ func TestPropClusterMatchesOracle(t *testing.T) {
 					return false
 				}
 				delete(oracle, name)
-			case 2: // read through the client
-				data, err := cl.ReadFile(name)
-				want, exists := oracle[name]
-				if !exists {
-					if !errors.Is(err, ErrNotExist) {
-						t.Logf("ReadFile(%s) of missing: %v", name, err)
+			case 2: // read through the client, and through the peer
+				for _, rc := range readers {
+					data, err := rc.ReadFile(name)
+					want, exists := oracle[name]
+					if !exists {
+						if !errors.Is(err, ErrNotExist) {
+							t.Logf("ReadFile(%s) of missing: %v", name, err)
+							return false
+						}
+						continue
+					}
+					if err != nil && err != io.EOF {
+						t.Logf("ReadFile(%s): %v", name, err)
 						return false
 					}
-					continue
+					if !bytes.Equal(data, want) {
+						t.Logf("ReadFile(%s): %d bytes, want %d", name, len(data), len(want))
+						return false
+					}
 				}
-				if err != nil && err != io.EOF {
-					t.Logf("ReadFile(%s): %v", name, err)
-					return false
-				}
-				if !bytes.Equal(data, want) {
-					t.Logf("ReadFile(%s): %d bytes, want %d", name, len(data), len(want))
-					return false
-				}
-			case 3: // stat
-				st, err := cl.Stat(name)
-				want, exists := oracle[name]
-				if exists && (err != nil || st.Size != int64(len(want))) {
-					t.Logf("Stat(%s) = %+v, %v; want size %d", name, st, err, len(want))
-					return false
-				}
-				if !exists && !errors.Is(err, ErrNotExist) {
-					t.Logf("Stat(%s) of missing: %v", name, err)
-					return false
+			case 3: // stat through the client, and through the peer
+				for _, rc := range readers {
+					st, err := rc.Stat(name)
+					want, exists := oracle[name]
+					if exists && (err != nil || st.Size != int64(len(want))) {
+						t.Logf("Stat(%s) = %+v, %v; want size %d", name, st, err, len(want))
+						return false
+					}
+					if !exists && !errors.Is(err, ErrNotExist) {
+						t.Logf("Stat(%s) of missing: %v", name, err)
+						return false
+					}
 				}
 			}
 		}
@@ -149,5 +158,11 @@ func TestPropClusterMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+	// Vacuity: the oracle held across lease hits and stale-lease
+	// fallbacks both.
+	t.Logf("leases: client %+v, peer %+v", cl.LeaseStats(), peer.LeaseStats())
+	if ls := peer.LeaseStats(); ls.Hits == 0 || ls.Fallbacks == 0 {
+		t.Errorf("peer LeaseStats = %+v; want hits and fallbacks", ls)
 	}
 }
