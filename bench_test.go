@@ -20,6 +20,7 @@ import (
 	"scalla/internal/bitvec"
 	"scalla/internal/cache"
 	"scalla/internal/experiments"
+	"scalla/internal/proto"
 	"scalla/internal/vclock"
 )
 
@@ -204,7 +205,10 @@ func BenchmarkLocateCachedParallel(b *testing.B) {
 // read 4 KiB, close. "walk" resolves every open from the manager: a
 // Relocate outside the timer drops the client's location lease and
 // refreshes the manager's cache first. "lease" reopens the same path,
-// so every open after the first goes straight to the data server.
+// so every open after the first goes straight to the data server. Both
+// open a 4 KiB file, which comes back inline with the open reply
+// (DESIGN.md §16); "lease-over-cap" is "lease" on a file over
+// proto.InlineMax, whose open, read and close are three exchanges.
 func BenchmarkOpenReadClose(b *testing.B) {
 	cl, err := scalla.StartCluster(scalla.Options{
 		Servers:    4,
@@ -215,13 +219,18 @@ func BenchmarkOpenReadClose(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cl.Stop()
-	const path = "/bench/blob"
-	cl.Store(1).Put(path, make([]byte, 4096))
-	for _, walk := range []bool{true, false} {
-		name := "lease"
-		if walk {
-			name = "walk"
-		}
+	const small, big = "/bench/blob", "/bench/big"
+	cl.Store(1).Put(small, make([]byte, 4096))
+	cl.Store(1).Put(big, make([]byte, proto.InlineMax+4096))
+	for _, tc := range []struct {
+		name, path string
+		walk       bool
+	}{
+		{"walk", small, true},
+		{"lease", small, false},
+		{"lease-over-cap", big, false},
+	} {
+		name, path, walk := tc.name, tc.path, tc.walk
 		b.Run(name, func(b *testing.B) {
 			c := cl.NewClient()
 			defer c.Close()

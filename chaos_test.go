@@ -333,6 +333,12 @@ func TestChaosClusterSurvivesRandomFaults(t *testing.T) {
 	// on one file names, leaving its control link up so the manager
 	// keeps vectoring there too, and read the file again.
 	leasedPath := paths[rig.rng.Intn(len(paths))]
+	// Children the last round cut may still be logging back in, and a
+	// supervisor with none of its children online finds no holder and
+	// answers that the file does not exist.
+	if err := c.WaitFormed(time.Minute); err != nil {
+		t.Fatalf("chaos[dead-lease]: the healed network never re-formed: %v", err)
+	}
 	fh, err := rig.cl.Open(leasedPath)
 	if err != nil {
 		t.Fatalf("chaos[dead-lease]: open of %s on a healed network: %v", leasedPath, err)

@@ -286,24 +286,30 @@ func (cl *Client) LeaseStats() LeaseStats {
 // pooled connection and without backoff. It returns the reply and the
 // server, or a nil reply when there is no lease or the exchange failed;
 // the caller judges the reply and calls leaseFailed on anything but
-// the answer it wanted.
-func (cl *Client) leased(path string, m proto.Message) (proto.Message, string) {
+// the answer it wanted. A reply that aliases its frame (an inline
+// OpenOK) comes with that frame, which the caller must Release.
+func (cl *Client) leased(path string, m proto.Message) (proto.Message, *proto.Frame, string) {
 	addr, ok := cl.leases.get(path)
 	if !ok {
-		return nil, ""
+		return nil, nil, ""
 	}
 	mc, err := cl.pool.Get(addr)
 	if err != nil {
 		cl.leaseFailed(path, addr)
-		return nil, ""
+		return nil, nil, ""
 	}
-	reply, err := mc.Call(m, cl.cfg.RPCTimeout)
+	ca, err := mc.Start(m)
+	var reply proto.Message
+	var frame *proto.Frame
+	if err == nil {
+		reply, frame, err = ca.WaitFrame(cl.cfg.RPCTimeout)
+	}
 	if err != nil {
 		cl.pool.Drop(addr, mc)
 		cl.leaseFailed(path, addr)
-		return nil, ""
+		return nil, nil, ""
 	}
-	return reply, addr
+	return reply, keepAliased(reply, frame), addr
 }
 
 // leaseFailed drops a lease whose server did not serve path, so the
@@ -384,18 +390,32 @@ func (cl *Client) rpcFrame(addr string, m proto.Message) (proto.Message, *proto.
 	return nil, nil, fmt.Errorf("%w: %s unreachable: %v", ErrIO, addr, lastErr)
 }
 
+// keepAliased releases a reply's pooled frame unless the reply aliases
+// it (proto.AliasesFrame), in which case the frame is returned for the
+// caller to Release once done with the reply — mux.Call.Wait's rule,
+// minus leaving an aliased frame to the garbage collector.
+func keepAliased(reply proto.Message, frame *proto.Frame) *proto.Frame {
+	if proto.AliasesFrame(reply) {
+		return frame
+	}
+	frame.Release()
+	return nil
+}
+
 // walk sends m starting at a manager, following Redirects and obeying
-// Waits, until a terminal reply arrives. It returns the reply and the
-// address that produced it. When every replica fails the error is a
-// typed *AllReplicasError carrying the tried-host set, so callers can
-// tell retryable cluster trouble from fatal verdicts.
-func (cl *Client) walk(m proto.Message) (proto.Message, string, error) {
+// Waits, until a terminal reply arrives. It returns the reply, the
+// pooled frame when the reply aliases it (an inline OpenOK; nil
+// otherwise), which the caller must Release, and the address that
+// produced the reply. When every replica fails the error is a typed
+// *AllReplicasError carrying the tried-host set, so callers can tell
+// retryable cluster trouble from fatal verdicts.
+func (cl *Client) walk(m proto.Message) (proto.Message, *proto.Frame, string, error) {
 	var lastErr error
 	var tried []string
 	for _, mgr := range cl.cfg.Managers {
-		reply, addr, err := cl.walkFrom(mgr, m)
+		reply, frame, addr, err := cl.walkFrom(mgr, m)
 		if err == nil {
-			return reply, addr, nil
+			return reply, frame, addr, nil
 		}
 		tried = append(tried, addr)
 		lastErr = err
@@ -407,30 +427,33 @@ func (cl *Client) walk(m proto.Message) (proto.Message, string, error) {
 		}
 	}
 	if lastErr == nil {
-		return nil, "", ErrNoServer
+		return nil, nil, "", ErrNoServer
 	}
 	if errors.Is(lastErr, ErrRetryAfter) {
 		// A shed is backpressure from a healthy host, not a replica
 		// failure: surface it bare so callers neither count it toward
 		// ErrAllReplicasFailed nor run stale-location recovery on it.
-		return nil, "", lastErr
+		return nil, nil, "", lastErr
 	}
-	return nil, "", &AllReplicasError{Tried: tried, Err: lastErr}
+	return nil, nil, "", &AllReplicasError{Tried: tried, Err: lastErr}
 }
 
-func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string, error) {
+// walkFrom is walk starting at addr.
+func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, *proto.Frame, string, error) {
 	_, isLocate := m.(proto.Locate)
 	waited := time.Duration(0)
 	hops := 0
 	sp := cl.cfg.Tracer.Start("walk", walkPath(m))
 	for {
-		reply, err := cl.rpc(addr, m)
+		reply, frame, err := cl.rpcFrame(addr, m)
 		if err != nil {
 			if sp != nil {
 				sp.End("error " + addr)
 			}
-			return nil, addr, err
+			return nil, nil, addr, err
 		}
+		// Only a terminal reply can alias its frame.
+		frame = keepAliased(reply, frame)
 		// A walk requests a refresh at most once: re-sending Refresh on
 		// every Wait retry would re-arm the object's processing deadline
 		// at the manager each round, turning a vanished file into a
@@ -449,12 +472,12 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 				if sp != nil {
 					sp.End("redirect " + r.Addr)
 				}
-				return reply, addr, nil
+				return reply, nil, addr, nil
 			}
 			hops++
 			if hops > cl.cfg.MaxHops {
 				sp.End("too many hops")
-				return nil, addr, fmt.Errorf("%w: redirect chain exceeded %d hops", ErrIO, cl.cfg.MaxHops)
+				return nil, nil, addr, fmt.Errorf("%w: redirect chain exceeded %d hops", ErrIO, cl.cfg.MaxHops)
 			}
 			sp.Event("hop", r.Addr)
 			addr = r.Addr
@@ -466,7 +489,7 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 			waited += d
 			if waited > cl.cfg.WaitBudget {
 				sp.End("wait budget exhausted")
-				return nil, addr, ErrTimeout
+				return nil, nil, addr, ErrTimeout
 			}
 			sp.Event("wait", d.String())
 			cl.cfg.Clock.Sleep(d)
@@ -478,7 +501,7 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 			waited += d
 			if waited > cl.cfg.WaitBudget {
 				sp.End("shed budget exhausted")
-				return nil, addr, ErrRetryAfter
+				return nil, nil, addr, ErrRetryAfter
 			}
 			sp.Event("shed", d.String())
 			cl.cfg.Clock.Sleep(d)
@@ -486,7 +509,7 @@ func (cl *Client) walkFrom(addr string, m proto.Message) (proto.Message, string,
 			if sp != nil {
 				sp.End(fmt.Sprintf("%T from %s", reply, addr))
 			}
-			return reply, addr, nil
+			return reply, frame, addr, nil
 		}
 	}
 }
@@ -533,7 +556,7 @@ func (cl *Client) Relocate(path string, write bool, avoid string) (string, error
 }
 
 func (cl *Client) locate(req proto.Locate) (string, error) {
-	reply, addr, err := cl.walk(req)
+	reply, _, addr, err := cl.walk(req)
 	if err != nil {
 		return "", err
 	}
@@ -553,6 +576,11 @@ func (cl *Client) locate(req proto.Locate) (string, error) {
 // window of Config.Readahead outstanding requests over the shared
 // server connection; any non-sequential access (Seek, ReadAt, writes)
 // cancels the window.
+//
+// A read-only File of a small file is usually inline (DESIGN.md §16):
+// the server sent the whole file with its open reply and kept no
+// handle, so reads are served from that open-time snapshot and Close
+// sends nothing.
 type File struct {
 	cl    *Client
 	path  string
@@ -565,6 +593,24 @@ type File struct {
 	ra    []raChunk // outstanding readahead window, ascending offsets
 	ww    []wwChunk // outstanding pipelined writes, issue order
 	werr  error     // sticky pipelined-write failure, cleared by Flush
+
+	// An inline File's bytes alias its open reply's pooled frame
+	// (nil for an empty file) until Close releases it.
+	inline, closed bool
+	data           []byte
+	frame          *proto.Frame
+}
+
+// newFile returns the File an OpenOK from addr opened. A handle-less
+// reply makes an inline File, which adopts the reply's frame.
+func (cl *Client) newFile(path, addr string, write bool, r proto.OpenOK, frame *proto.Frame) *File {
+	f := &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write, size: r.Size}
+	if r.FH == 0 {
+		f.inline, f.data, f.frame = true, r.Data, frame
+	} else if frame != nil {
+		frame.Release()
+	}
+	return f
 }
 
 // raChunk is one in-flight readahead request.
@@ -684,16 +730,17 @@ func (cl *Client) Create(path string) (*File, error) {
 }
 
 func (cl *Client) open(path string, write, create bool) (*File, error) {
-	if !write && !create {
-		if reply, addr := cl.leased(path, proto.Open{Path: path}); reply != nil {
+	req := proto.Open{Path: path, Write: write, Create: create, Inline: !write && !create}
+	if req.Inline {
+		if reply, frame, addr := cl.leased(path, req); reply != nil {
 			if r, ok := reply.(proto.OpenOK); ok {
 				cl.leases.hits.Add(1)
-				return &File{cl: cl, path: path, addr: addr, fh: r.FH, size: r.Size}, nil
+				return cl.newFile(path, addr, false, r, frame), nil
 			}
 			cl.leaseFailed(path, addr)
 		}
 	}
-	reply, addr, err := cl.walk(proto.Open{Path: path, Write: write, Create: create})
+	reply, frame, addr, err := cl.walk(req)
 	if err != nil {
 		// Stale-location recovery (Section III-C1): when the walk died
 		// at a redirect target rather than at a manager, the manager
@@ -709,19 +756,22 @@ func (cl *Client) open(path string, write, create bool) (*File, error) {
 		}
 		return nil, err
 	}
-	return cl.opened(path, write || create, reply, addr)
+	return cl.opened(path, write || create, reply, frame, addr)
 }
 
 // opened turns a walk's terminal reply to an Open into a File, leasing
 // path to the server that opened it.
-func (cl *Client) opened(path string, write bool, reply proto.Message, addr string) (*File, error) {
+func (cl *Client) opened(path string, write bool, reply proto.Message, frame *proto.Frame, addr string) (*File, error) {
 	switch r := reply.(type) {
 	case proto.OpenOK:
 		cl.leaseFrom(path, addr)
-		return &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write, size: r.Size}, nil
+		return cl.newFile(path, addr, write, r, frame), nil
 	case proto.Err:
 		return nil, errFrom(r)
 	default:
+		if frame != nil {
+			frame.Release()
+		}
 		return nil, fmt.Errorf("%w: unexpected open reply %T", ErrIO, reply)
 	}
 }
@@ -740,7 +790,7 @@ func (cl *Client) isManager(addr string) bool {
 // it forces a cache refresh naming the failing host, then opens at the
 // freshly resolved location.
 func (cl *Client) openRefreshed(path string, write, create bool, avoid string) (*File, error) {
-	reply, _, err := cl.walk(proto.Locate{Path: path, Write: write || create, Refresh: true, Avoid: avoid})
+	reply, _, _, err := cl.walk(proto.Locate{Path: path, Write: write || create, Refresh: true, Avoid: avoid})
 	if err != nil {
 		return nil, err
 	}
@@ -751,11 +801,11 @@ func (cl *Client) openRefreshed(path string, write, create bool, avoid string) (
 		}
 		return nil, fmt.Errorf("%w: refresh did not redirect (%T)", ErrIO, reply)
 	}
-	reply, addr, err := cl.walkFrom(rd.Addr, proto.Open{Path: path, Write: write, Create: create})
+	reply, frame, addr, err := cl.walkFrom(rd.Addr, proto.Open{Path: path, Write: write, Create: create, Inline: !write && !create})
 	if err != nil {
 		return nil, err
 	}
-	return cl.opened(path, write || create, reply, addr)
+	return cl.opened(path, write || create, reply, frame, addr)
 }
 
 // Path returns the file's path.
@@ -773,7 +823,7 @@ func (f *File) Size() int64 { return f.size }
 func (f *File) recover() error {
 	f.cancelReadahead() // the window targets the failed server and handle
 	f.cl.leases.drop(f.path, f.addr)
-	reply, addr, err := f.cl.walk(proto.Locate{Path: f.path, Write: f.write, Refresh: true, Avoid: f.addr})
+	reply, _, addr, err := f.cl.walk(proto.Locate{Path: f.path, Write: f.write, Refresh: true, Avoid: f.addr})
 	if err != nil {
 		return err
 	}
@@ -786,7 +836,7 @@ func (f *File) recover() error {
 	}
 	_ = addr
 	// Open directly at the fresh holder (it may itself redirect).
-	reply, addr, err = f.cl.walkFrom(rd.Addr, proto.Open{Path: f.path, Write: f.write})
+	reply, _, addr, err = f.cl.walkFrom(rd.Addr, proto.Open{Path: f.path, Write: f.write})
 	if err != nil {
 		return err
 	}
@@ -807,11 +857,41 @@ func (f *File) recover() error {
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.inline {
+		return f.readInline(p, off)
+	}
 	f.cancelReadahead()
 	if err := f.flushWrites(); err != nil {
 		return 0, err
 	}
 	return f.readAtLocked(p, off, true)
+}
+
+// Errors an inline File reports where a handle's server would have
+// answered with these verdicts.
+var (
+	errBadHandle = proto.Err{Code: proto.EInval, Msg: "bad file handle"}
+	errReadOnly  = proto.Err{Code: proto.EInval, Msg: "handle is read-only"}
+)
+
+// readInline serves a read from an inline File's snapshot with the
+// data server's rule (store.ReadAtInto): io.EOF when the read reaches
+// the end of the file. Caller holds f.mu.
+func (f *File) readInline(p []byte, off int64) (int, error) {
+	if f.closed {
+		return 0, errFrom(errBadHandle)
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative offset %d", ErrIO, off)
+	}
+	if off >= f.size {
+		return 0, io.EOF
+	}
+	end := off + int64(len(p))
+	if end < f.size {
+		return copy(p, f.data[off:end]), nil
+	}
+	return copy(p, f.data[off:]), io.EOF
 }
 
 func (f *File) readAtLocked(p []byte, off int64, mayRecover bool) (int, error) {
@@ -887,7 +967,9 @@ func (f *File) Read(p []byte) (int, error) {
 		n   int
 		err error
 	)
-	if f.cl.cfg.Readahead > 1 && len(p) > 0 {
+	if f.inline {
+		n, err = f.readInline(p, f.off)
+	} else if f.cl.cfg.Readahead > 1 && len(p) > 0 {
 		n, err = f.readSequential(p)
 	} else {
 		n, err = f.readAtLocked(p, f.off, true)
@@ -1006,6 +1088,9 @@ func (f *File) Flush() error {
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.inline {
+		return 0, errFrom(errReadOnly)
+	}
 	f.cancelReadahead() // speculative reads may race the write
 	if f.cl.cfg.WriteWindow > 1 {
 		return f.writeAtPipelined(p, off)
@@ -1097,6 +1182,9 @@ func (f *File) Write(p []byte) (int, error) {
 func (f *File) Truncate(size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.inline {
+		return errFrom(errReadOnly)
+	}
 	f.cancelReadahead()
 	if err := f.flushWrites(); err != nil {
 		return err
@@ -1119,9 +1207,22 @@ func (f *File) Truncate(size int64) error {
 // Close releases the remote handle, abandoning any readahead. It
 // flushes the pipelined-write window first; a flush failure is
 // reported after the handle is released, so no acked-but-failed write
-// goes unnoticed.
+// goes unnoticed. Closing an inline File releases its snapshot and
+// sends nothing.
 func (f *File) Close() error {
 	f.mu.Lock()
+	if f.inline {
+		defer f.mu.Unlock()
+		if f.closed {
+			return errFrom(errBadHandle)
+		}
+		f.closed, f.data = true, nil
+		if f.frame != nil {
+			f.frame.Release()
+			f.frame = nil
+		}
+		return nil
+	}
 	f.cancelReadahead()
 	werr := f.flushWrites()
 	f.mu.Unlock()
@@ -1142,14 +1243,14 @@ func (f *File) Close() error {
 // of its data server first; only an answer that it exists is taken
 // from there, anything else walks from a manager.
 func (cl *Client) Stat(path string) (proto.StatOK, error) {
-	if reply, addr := cl.leased(path, proto.Stat{Path: path}); reply != nil {
+	if reply, _, addr := cl.leased(path, proto.Stat{Path: path}); reply != nil {
 		if r, ok := reply.(proto.StatOK); ok && r.Exists {
 			cl.leases.hits.Add(1)
 			return r, nil
 		}
 		cl.leaseFailed(path, addr)
 	}
-	reply, addr, err := cl.walk(proto.Stat{Path: path})
+	reply, _, addr, err := cl.walk(proto.Stat{Path: path})
 	if err != nil {
 		return proto.StatOK{}, err
 	}
@@ -1170,7 +1271,7 @@ func (cl *Client) Stat(path string) (proto.StatOK, error) {
 // Unlink removes path at its (selected) holder.
 func (cl *Client) Unlink(path string) error {
 	cl.leases.drop(path, "")
-	reply, _, err := cl.walk(proto.Unlink{Path: path})
+	reply, _, _, err := cl.walk(proto.Unlink{Path: path})
 	if err != nil {
 		return err
 	}

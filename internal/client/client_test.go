@@ -198,8 +198,11 @@ func TestCreateExclusive(t *testing.T) {
 
 func TestRefreshRecoveryOnStaleLocation(t *testing.T) {
 	r := buildCluster(t, 2)
-	r.stores[0].Put("/f", []byte("replica"))
-	r.stores[1].Put("/f", []byte("replica"))
+	// Over the inline cap, so the open holds a handle at one holder and
+	// the read below goes to it.
+	body := append([]byte("replica"), make([]byte, proto.InlineMax)...)
+	r.stores[0].Put("/f", body)
+	r.stores[1].Put("/f", body)
 	cl := r.client(t)
 
 	// Warm the cache so both holders are known.
@@ -233,7 +236,7 @@ func TestRefreshRecoveryOnStaleLocation(t *testing.T) {
 	if err != nil && err != io.EOF {
 		t.Fatalf("recovered read error: %v", err)
 	}
-	if string(buf[:n]) != "replica" {
+	if !bytes.Equal(buf[:n], body[:len(buf)]) {
 		t.Fatalf("recovered read = %q", buf[:n])
 	}
 	if f.Server() == served {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"scalla"
+	"scalla/internal/proto"
 )
 
 // E10RarelyRespond reproduces the request-rarely-respond argument
@@ -241,12 +242,16 @@ func E15RefreshRecovery(s Scale) Table {
 
 	recovered := 0
 	var samples []time.Duration
+	// Over the inline cap, so each open holds a handle at one replica and
+	// the read goes there (a small file would be read from its open-time
+	// snapshot and never meet the unlink).
+	body := append([]byte("replica"), make([]byte, proto.InlineMax)...)
 	for i := 0; i < trials; i++ {
 		p := fmt.Sprintf("/store/e15/f%03d", i)
 		// Two replicas.
 		a, b := i%4, (i+1)%4
-		cl.Store(a).Put(p, []byte("replica"))
-		cl.Store(b).Put(p, []byte("replica"))
+		cl.Store(a).Put(p, body)
+		cl.Store(b).Put(p, body)
 		f, err := c.Open(p)
 		if err != nil {
 			continue
@@ -258,7 +263,7 @@ func E15RefreshRecovery(s Scale) Table {
 			}
 		}
 		start := time.Now()
-		buf := make([]byte, 8)
+		buf := make([]byte, 7)
 		n, err := f.ReadAt(buf, 0)
 		if (err == nil || err == io.EOF) && string(buf[:n]) == "replica" {
 			recovered++

@@ -17,6 +17,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0xFF})
 	f.Add([]byte{byte(KLogin)})
 	f.Add([]byte{byte(KData), 0, 0, 0})
+	inline, dst := StartInlineFrame(5, 4)
+	inline.FinishInline(copy(dst, "tail"))
+	f.Add(append([]byte(nil), inline.Bytes()...))
+	inline.Release()
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		m, sid, err := UnmarshalStream(frame)
 		if err != nil {

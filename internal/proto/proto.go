@@ -270,20 +270,32 @@ type Err struct {
 // Kind implements Message.
 func (Err) Kind() Kind { return KErr }
 
-// Open opens a file on a data server.
+// InlineMax is the largest file a data server returns whole in its
+// reply to an inline Open (DESIGN.md §16). It covers small query and
+// result payloads while keeping bulk files on the handle path.
+const InlineMax = 16 << 10
+
+// Open opens a file on a data server. Inline asks for the whole file
+// in the reply: a read-only Open of an online file of at most
+// InlineMax bytes is then answered by a handle-less OpenOK carrying
+// the file's bytes. Servers that do not inline ignore the flag.
 type Open struct {
 	Path   string
 	Write  bool
 	Create bool
+	Inline bool
 }
 
 // Kind implements Message.
 func (Open) Kind() Kind { return KOpen }
 
-// OpenOK returns the file handle for subsequent I/O.
+// OpenOK returns the file handle for subsequent I/O. An inline reply
+// has FH 0, holds no server handle, and carries the whole file in
+// Data, which aliases the frame it was decoded from.
 type OpenOK struct {
 	FH   uint64
 	Size int64
+	Data []byte
 }
 
 // Kind implements Message.
@@ -537,16 +549,19 @@ func (r *reader) bytes() []byte {
 }
 
 // rawBytes32 reads a fixed-width u32 length followed by that many raw
-// bytes — the tail layout of a Data frame. The returned slice aliases
-// the frame rather than copying it: every transport's Send copies, so
-// a frame handed out by Recv is exclusively the receiver's, and the
-// data plane saves one payload-sized copy + allocation per Read.
-// Callers that outlive the frame must copy.
+// bytes — the tail layout of Data and OpenOK frames. The returned slice
+// aliases the frame rather than copying it: every transport's Send
+// copies, so a frame handed out by Recv is exclusively the receiver's,
+// and the data plane saves one payload-sized copy + allocation per
+// Read. Callers that outlive the frame must copy.
 func (r *reader) rawBytes32() []byte {
 	n := r.u32()
 	if r.err != nil || uint64(n) > uint64(len(r.b)) {
 		r.err = errTruncated
 		return nil
+	}
+	if n == 0 {
+		return nil // an empty tail decodes as nil, as Marshal's input
 	}
 	out := r.b[:n:n]
 	r.b = r.b[n:]
@@ -667,14 +682,17 @@ func WrapFrame(b []byte) *Frame {
 // AliasesFrame reports whether a decoded message's byte fields alias
 // the frame it was decoded from — true for Data and Write, whose
 // payloads are zero-copy views into the frame (rawBytes32 and bytes
-// aliasing above). The frame backing such a message must outlive every
-// use of the message, and must not be Released before then; messages of
-// every other kind copy what they keep (string conversion copies), so
-// their frames may be released immediately after decode.
+// aliasing above), and for an inline OpenOK's Data. The frame backing
+// such a message must outlive every use of the message, and must not be
+// Released before then; messages of every other kind copy what they
+// keep (string conversion copies), so their frames may be released
+// immediately after decode.
 func AliasesFrame(m Message) bool {
-	switch m.(type) {
+	switch v := m.(type) {
 	case Data, Write:
 		return true
+	case OpenOK:
+		return v.Data != nil
 	}
 	return false
 }
@@ -702,16 +720,22 @@ func StartDataFrame(stream uint32, fh uint64, n int) (*Frame, []byte) {
 	w.u64(fh)
 	w.u8(0)          // EOF, patched by FinishData
 	w.u32(uint32(n)) // payload length, patched by FinishData
-	head := len(w.b)
-	if cap(w.b) < head+n {
-		grown := make([]byte, head+n)
-		copy(grown, w.b)
-		w.b = grown
+	return f, f.reserve(w.b, n)
+}
+
+// reserve adopts head as the frame's bytes and extends it by an n-byte
+// payload, which it returns for the caller to fill in place.
+func (f *Frame) reserve(head []byte, n int) []byte {
+	h := len(head)
+	if cap(head) < h+n {
+		grown := make([]byte, h+n)
+		copy(grown, head)
+		head = grown
 	} else {
-		w.b = w.b[:head+n]
+		head = head[:h+n]
 	}
-	f.b = w.b
-	return f, f.b[head:]
+	f.b = head
+	return f.b[h:]
 }
 
 // FinishData completes a frame started with StartDataFrame: it trims
@@ -724,6 +748,32 @@ func (f *Frame) FinishData(n int, eof bool) {
 	}
 	binary.BigEndian.PutUint32(f.b[headerLen+8+1:], uint32(n))
 	f.b = f.b[:head+n]
+}
+
+// StartInlineFrame begins a single-copy inline OpenOK frame on the
+// given stream, the open-time twin of StartDataFrame: a handle-less
+// OpenOK pre-encoded up to its Data tail, plus a destination of length
+// n for the file's bytes. FinishInline then stamps the byte count the
+// caller actually wrote as both Size and the tail's length.
+func StartInlineFrame(stream uint32, n int) (*Frame, []byte) {
+	f := framePool.Get().(*Frame)
+	w := writer{b: f.b[:0]}
+	w.u8(uint8(KOpenOK))
+	w.u32(stream)
+	w.u64(0)         // FH: no handle
+	w.i64(int64(n))  // Size, patched by FinishInline
+	w.u32(uint32(n)) // Data length, patched by FinishInline
+	return f, f.reserve(w.b, n)
+}
+
+// FinishInline completes a frame started with StartInlineFrame with the
+// n bytes actually written. n must not exceed the length requested at
+// start.
+func (f *Frame) FinishInline(n int) {
+	at := headerLen + 8 // past the FH, at Size
+	binary.BigEndian.PutUint64(f.b[at:], uint64(n))
+	binary.BigEndian.PutUint32(f.b[at+8:], uint32(n))
+	f.b = f.b[:at+8+4+n]
 }
 
 // appendMessage appends m's frame encoding to buf and returns the
@@ -785,9 +835,14 @@ func appendMessage(buf []byte, m Message, stream uint32) []byte {
 		w.str(v.Path)
 		w.boolean(v.Write)
 		w.boolean(v.Create)
+		w.boolean(v.Inline)
 	case OpenOK:
+		// Like Data, the byte tail goes last behind a fixed-width length
+		// so StartInlineFrame can fill it in place.
 		w.u64(v.FH)
 		w.i64(v.Size)
+		w.u32(uint32(len(v.Data)))
+		w.b = append(w.b, v.Data...)
 	case Read:
 		w.u64(v.FH)
 		w.i64(v.Off)
@@ -893,9 +948,11 @@ func UnmarshalStream(frame []byte) (Message, uint32, error) {
 	case KErr:
 		m = Err{Code: r.u32(), Msg: r.str()}
 	case KOpen:
-		m = Open{Path: r.str(), Write: r.boolean(), Create: r.boolean()}
+		m = Open{Path: r.str(), Write: r.boolean(), Create: r.boolean(), Inline: r.boolean()}
 	case KOpenOK:
-		m = OpenOK{FH: r.u64(), Size: r.i64()}
+		o := OpenOK{FH: r.u64(), Size: r.i64()}
+		o.Data = r.rawBytes32()
+		m = o
 	case KRead:
 		m = Read{FH: r.u64(), Off: r.i64(), N: r.u32()}
 	case KData:

@@ -26,7 +26,9 @@ func all() []Message {
 		Wait{Millis: 5000},
 		Err{Code: ENoEnt, Msg: "no such file"},
 		Open{Path: "/f", Write: true, Create: false},
+		Open{Path: "/small", Inline: true},
 		OpenOK{FH: 77, Size: 1 << 30},
+		OpenOK{Size: 3, Data: []byte{4, 5, 6}},
 		Read{FH: 77, Off: 4096, N: 65536},
 		Data{FH: 77, Bytes: []byte{1, 2, 3}, EOF: true},
 		Write{FH: 77, Off: 0, Bytes: []byte("hello")},
@@ -147,6 +149,62 @@ func TestPropDataRoundTrip(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// An inline OpenOK built in place decodes exactly as the marshaled
+// message, its Data aliases the frame, and an empty file's tail
+// decodes as nil.
+func TestInlineFrameMatchesMarshal(t *testing.T) {
+	for _, body := range [][]byte{nil, []byte("x"), make([]byte, InlineMax)} {
+		// Reserve one byte more than is written: FinishInline must trim
+		// the frame to the bytes actually read.
+		f, dst := StartInlineFrame(9, len(body)+1)
+		n := copy(dst, body)
+		f.FinishInline(n)
+		want := MarshalStream(OpenOK{Size: int64(len(body)), Data: body}, 9)
+		if !reflect.DeepEqual(f.Bytes(), want) {
+			t.Fatalf("%d-byte inline frame:\n got %x\nwant %x", len(body), f.Bytes(), want)
+		}
+		m, sid, err := UnmarshalStream(f.Bytes())
+		if err != nil || sid != 9 {
+			t.Fatalf("decode: %v, stream %d", err, sid)
+		}
+		o := m.(OpenOK)
+		if o.FH != 0 || o.Size != int64(len(body)) || len(o.Data) != len(body) {
+			t.Fatalf("decoded %d-byte inline reply as FH %d Size %d, %d bytes", len(body), o.FH, o.Size, len(o.Data))
+		}
+		if len(body) == 0 && o.Data != nil {
+			t.Fatal("empty inline tail decoded as a non-nil slice")
+		}
+		if AliasesFrame(o) != (len(body) > 0) {
+			t.Fatalf("AliasesFrame(%d-byte inline reply) = %v", len(body), AliasesFrame(o))
+		}
+		f.Release()
+	}
+	if AliasesFrame(OpenOK{FH: 3, Size: 10}) {
+		t.Fatal("a handle reply is reported to alias its frame")
+	}
+}
+
+// Property: Open's flags and OpenOK's inline bytes round-trip for
+// arbitrary values.
+func TestPropOpenInlineRoundTrip(t *testing.T) {
+	f := func(path string, w, c, in bool, fh uint64, size int64, b []byte) bool {
+		o := Open{Path: path, Write: w, Create: c, Inline: in}
+		got, err := Unmarshal(Marshal(o))
+		if err != nil || got != o {
+			return false
+		}
+		if len(b) == 0 {
+			b = nil
+		}
+		ok := OpenOK{FH: fh, Size: size, Data: b}
+		back, err := Unmarshal(Marshal(ok))
+		return err == nil && reflect.DeepEqual(back, ok)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -71,6 +71,35 @@ func TestReadFrameAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestInlineOpenAllocsNothing pins the inline open reply (DESIGN.md
+// §16) to the read path's contract: the stat, the single copy from the
+// store into a pooled OpenOK frame and the bookkeeping allocate
+// nothing, and no handle is recorded.
+func TestInlineOpenAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops pooled frames at random; the un-raced run is the gate")
+	}
+	st := store.New(store.Config{})
+	if err := st.Put("/small", make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Store: st})
+	open := proto.Open{Path: "/small", Inline: true}
+	avg := testing.AllocsPerRun(100, func() {
+		reply, f, fh := srv.open(open, 7)
+		if f == nil || reply != nil || fh != 0 {
+			t.Fatalf("inline open = %#v, frame %v, handle %d", reply, f, fh)
+		}
+		f.Release()
+	})
+	if avg != 0 {
+		t.Fatalf("inline open allocates %.1f objects per 4 KiB file, want 0", avg)
+	}
+	if n := srv.Handles(); n != 0 {
+		t.Fatalf("inline opens left %d handles", n)
+	}
+}
+
 // TestDiskReadFrameAllocsNothing pins the same contract end to end on
 // the disk backend: page cache → pooled frame is still one copy and
 // zero allocations (the pread lands directly in the frame's payload

@@ -202,12 +202,18 @@ func (s *Server) handleConn(conn transport.Conn) {
 }
 
 // dispatch handles one request, returning the reply and, for successful
-// opens, the issued handle. Reads reply through the responder's
-// single-copy frame path and return nil.
+// opens, the issued handle. Reads and inline opens reply through the
+// responder's single-copy frame path and return nil.
 func (s *Server) dispatch(msg proto.Message, r mux.Responder) (reply proto.Message, opened uint64) {
 	switch m := msg.(type) {
 	case proto.Open:
-		return s.open(m)
+		reply, inline, fh := s.open(m, r.Stream())
+		if inline != nil {
+			if err := r.SendFrame(inline); err != nil {
+				s.cfg.Logf("xrd: inline open reply failed: %v", err)
+			}
+		}
+		return reply, fh
 	case proto.Read:
 		return s.read(m, r), 0
 	case proto.Write:
@@ -231,36 +237,64 @@ func (s *Server) dispatch(msg proto.Message, r mux.Responder) (reply proto.Messa
 	}
 }
 
-func (s *Server) open(m proto.Open) (proto.Message, uint64) {
+// open answers an Open with a handle, or — for a read-only inline Open
+// of an online file of at most proto.InlineMax bytes — with a
+// handle-less reply frame carrying the whole file, which the caller
+// sends. Exactly one of reply and inline is non-nil.
+func (s *Server) open(m proto.Open, stream uint32) (reply proto.Message, inline *proto.Frame, fh uint64) {
 	st := s.cfg.Store
 	if m.Create {
 		if s.cfg.ReadOnly {
-			return proto.Err{Code: proto.EIO, Msg: "read-only server"}, 0
+			return proto.Err{Code: proto.EIO, Msg: "read-only server"}, nil, 0
 		}
 		if err := st.Create(m.Path); err == store.ErrExists {
-			return proto.Err{Code: proto.EExist, Msg: "file exists"}, 0
+			return proto.Err{Code: proto.EExist, Msg: "file exists"}, nil, 0
 		} else if err != nil {
-			return proto.Err{Code: proto.EIO, Msg: err.Error()}, 0
+			return proto.Err{Code: proto.EIO, Msg: err.Error()}, nil, 0
 		}
-		return s.issue(m.Path, true, 0), 0
+		return s.issue(m.Path, true, 0), nil, 0
 	}
 	if m.Write && s.cfg.ReadOnly {
-		return proto.Err{Code: proto.EIO, Msg: "read-only server"}, 0
+		return proto.Err{Code: proto.EIO, Msg: "read-only server"}, nil, 0
 	}
 	info, err := st.Stat(m.Path)
 	if err != nil {
-		return proto.Err{Code: proto.ENoEnt, Msg: "no such file"}, 0
+		return proto.Err{Code: proto.ENoEnt, Msg: "no such file"}, nil, 0
 	}
 	if !info.Online {
 		// Kick staging and tell the client to come back.
 		if _, err := st.Stage(m.Path); err != nil {
-			return proto.Err{Code: proto.EIO, Msg: err.Error()}, 0
+			return proto.Err{Code: proto.EIO, Msg: err.Error()}, nil, 0
 		}
 		s.staged.Add(1)
-		return proto.Wait{Millis: s.cfg.StageWaitMillis}, 0
+		return proto.Wait{Millis: s.cfg.StageWaitMillis}, nil, 0
 	}
-	msg, fh := s.issueMsg(m.Path, m.Write, info.Size)
-	return msg, fh
+	if m.Inline && !m.Write && info.Size <= proto.InlineMax {
+		if f := s.inlineFrame(m.Path, info.Size, stream); f != nil {
+			return nil, f, 0
+		}
+	}
+	reply, fh = s.issueMsg(m.Path, m.Write, info.Size)
+	return reply, nil, fh
+}
+
+// inlineFrame builds a handle-less OpenOK carrying the whole file,
+// copied once from the store into a pooled frame. It returns nil —
+// and the caller issues a handle instead — when the file changed
+// between the stat and the read: it grew (the read of size bytes did
+// not reach the end) or it went away.
+func (s *Server) inlineFrame(path string, size int64, stream uint32) *proto.Frame {
+	f, dst := proto.StartInlineFrame(stream, int(size))
+	n, eof, err := s.cfg.Store.ReadAtInto(path, 0, dst)
+	if err != nil || !eof {
+		f.Release()
+		return nil
+	}
+	f.FinishInline(n)
+	s.opens.Add(1)
+	s.reads.Add(1)
+	s.bytesRead.Add(int64(n))
+	return f
 }
 
 func (s *Server) issue(path string, write bool, size int64) proto.Message {

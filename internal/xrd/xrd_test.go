@@ -76,6 +76,47 @@ func TestOpenReadClose(t *testing.T) {
 	}
 }
 
+// A read-only inline Open of a small online file is answered with the
+// whole file and no handle; every other open — flag-less, write, over
+// the cap, staging — gets a handle as before.
+func TestInlineOpen(t *testing.T) {
+	conn, st := rig(t, Config{})
+	st.Put("/small", []byte("hello world"))
+	st.Put("/empty", nil)
+	st.Put("/cap", make([]byte, proto.InlineMax))
+	st.Put("/big", make([]byte, proto.InlineMax+1))
+	st.PutOffline("/tape", []byte("offline"))
+
+	r := rpc(t, conn, proto.Open{Path: "/small", Inline: true})
+	if ok, isOK := r.(proto.OpenOK); !isOK || ok.FH != 0 || ok.Size != 11 || string(ok.Data) != "hello world" {
+		t.Fatalf("inline open reply = %#v", r)
+	}
+	r = rpc(t, conn, proto.Open{Path: "/empty", Inline: true})
+	if ok, isOK := r.(proto.OpenOK); !isOK || ok.FH != 0 || ok.Size != 0 || ok.Data != nil {
+		t.Fatalf("inline open of an empty file = %#v", r)
+	}
+	r = rpc(t, conn, proto.Open{Path: "/cap", Inline: true})
+	if ok, isOK := r.(proto.OpenOK); !isOK || ok.FH != 0 || len(ok.Data) != proto.InlineMax {
+		t.Fatalf("inline open of an InlineMax-byte file = FH %d, %d bytes", ok.FH, len(ok.Data))
+	}
+	for _, m := range []proto.Open{
+		{Path: "/small"},
+		{Path: "/small", Write: true, Inline: true},
+		{Path: "/big", Inline: true},
+	} {
+		r := rpc(t, conn, m)
+		if ok, isOK := r.(proto.OpenOK); !isOK || ok.FH == 0 || ok.Data != nil {
+			t.Fatalf("%+v: reply %#v, want a handle", m, r)
+		}
+	}
+	if r := rpc(t, conn, proto.Open{Path: "/tape", Inline: true}); r.Kind() != proto.KWait {
+		t.Fatalf("inline open of an offline file = %#v, want a wait", r)
+	}
+	if r := rpc(t, conn, proto.Open{Path: "/nope", Inline: true}); r.Kind() != proto.KErr {
+		t.Fatalf("inline open of a missing file = %#v", r)
+	}
+}
+
 func TestOpenMissingFile(t *testing.T) {
 	conn, _ := rig(t, Config{})
 	r := rpc(t, conn, proto.Open{Path: "/ghost"})
