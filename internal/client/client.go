@@ -853,12 +853,18 @@ func (f *File) recover() error {
 }
 
 // ReadAt implements io.ReaderAt with transparent refresh recovery.
-// Random access cancels any sequential readahead window.
+// Random access cancels any sequential readahead window. A negative
+// offset fails with ErrIO before anything is sent, as on an inline
+// File: the server's EIO would otherwise read as a failed holder and
+// start a refresh against a healthy one.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.inline {
 		return f.readInline(p, off)
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative offset %d", ErrIO, off)
 	}
 	f.cancelReadahead()
 	if err := f.flushWrites(); err != nil {

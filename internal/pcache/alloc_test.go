@@ -1,6 +1,8 @@
 package pcache
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"scalla/internal/proto"
@@ -63,6 +65,76 @@ func TestProxyHitPathAllocsNothing(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("hit path allocates %.1f objects per 64 KiB read, want 0", avg)
+	}
+}
+
+// TestProxyFillAdoptsFrame pins the proxy's miss path: a block fill
+// adopts the origin's pooled reply frame instead of copying it into a
+// fresh buffer, and an evicted block returns its frame to the pool, so
+// a steady stream of misses recycles frames rather than handing them
+// to the garbage collector. The cache holds one block and fills fetch
+// only the missing one, so every fill below misses and evicts the block
+// before it. Copying fills allocate over 128 KiB each.
+func TestProxyFillAdoptsFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops pooled frames at random; the un-raced run is the gate")
+	}
+	const blocks = 4
+	o := startOrigin(t, 1)
+	data := payload(43, blocks*DefaultBlockSize)
+	if err := o.stores[0].Put("/miss", data); err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{
+		Net:             o.net,
+		Addr:            "edge:data",
+		Origins:         []string{o.mgr.DataAddr()},
+		CacheBytes:      DefaultBlockSize,
+		OriginReadahead: 1,
+	})
+	t.Cleanup(p.Close)
+	reply, fh := p.open(proto.Open{Path: "/miss"})
+	if _, ok := reply.(proto.OpenOK); !ok {
+		t.Fatalf("open: %#v", reply)
+	}
+	h := p.handleFor(fh)
+	bs := int64(p.cfg.BlockSize)
+	fillAndRead := func(i int) []byte {
+		read := proto.Read{FH: fh, Off: int64(i%blocks) * bs, N: uint32(bs)}
+		if msg := p.fill(h, read); msg != nil {
+			t.Fatalf("fill at %d: %#v", read.Off, msg)
+		}
+		f, n, ok := p.readFrame(read, 7)
+		if !ok || n != int(bs) {
+			t.Fatalf("fill at %d left no resident block (ok=%v n=%d)", read.Off, ok, n)
+		}
+		defer f.Release()
+		m, err := proto.Unmarshal(f.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(proto.Data).Bytes
+	}
+	// Warm the frame pool and the origin session, checking the bytes.
+	for i := 0; i < 2*blocks; i++ {
+		off := int64(i%blocks) * bs
+		if got := fillAndRead(i); !bytes.Equal(got, data[off:off+bs]) {
+			t.Fatalf("block at %d served wrong bytes", off)
+		}
+	}
+	const fills = 256
+	evicted := p.Stats().EvictedLRU
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < fills; i++ {
+		fillAndRead(i)
+	}
+	runtime.ReadMemStats(&after)
+	if got := p.Stats().EvictedLRU - evicted; got != fills {
+		t.Fatalf("%d of %d fills evicted a block; the rig must miss every time", got, fills)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / fills; per > 4<<10 {
+		t.Fatalf("a miss fill allocates %d B; want <= 4 KiB (the block adopts the reply frame)", per)
 	}
 }
 

@@ -6,11 +6,15 @@ package pcache
 // server slots so location answers ride the same striped table,
 // eviction windows, and Figure-3 epoch machinery the origin cmsd uses.
 //
-// Ownership rules (DESIGN.md §9): block buffers are owned by the block
-// cache and never leave it — hits copy into a pooled frame under the
-// cache lock (the same single-copy discipline as xrd's read path), and
-// fills copy out of the receive frame before inserting, because
-// proto.Data.Bytes aliases a buffer that dies with the call.
+// Ownership rules (DESIGN.md §9.3): a fill does not copy. The origin's
+// Data reply arrives in a pooled receive frame and the block adopts it:
+// block.data aliases the frame's payload and block.frame owns it. The
+// frame goes back to the pool exactly once, when dropBlockLocked
+// removes the block (LRU eviction, window expiry, entry drop), or at
+// once when the reply is not inserted (a duplicate, a dead entry, a
+// non-Data verdict). Hits copy out of block.data into a pooled frame
+// only under bmu, and every drop runs under bmu too, so once a block
+// is dropped no reader can still see the recycled bytes.
 
 import (
 	"scalla/internal/bitvec"
@@ -44,10 +48,11 @@ type entry struct {
 // (capacity eviction), and one of the 64 lifetime windows (age
 // eviction, the hide-then-sweep of Section III-A at block granularity).
 type block struct {
-	ent  *entry
-	idx  int64
-	data []byte
-	ta   uint64 // window tick at insertion
+	ent   *entry
+	idx   int64
+	data  []byte       // the payload, aliasing frame
+	frame *proto.Frame // origin reply frame; released by dropBlockLocked
+	ta    uint64       // window tick at insertion
 
 	prev, next *block // intrusive LRU links
 	wnext      *block // window chain
@@ -155,10 +160,10 @@ func (p *Proxy) entryDead(ent *entry) bool {
 }
 
 // fetchBlock pulls one block from the entry's origin session and
-// inserts it. Transport failures and origin ENoEnt invalidate the
-// entry and return nil so the caller's retry re-resolves (possibly at
-// another replica, via the refresh protocol); other origin verdicts
-// pass through downstream.
+// inserts it. Transport failures, origin ENoEnt and any verdict on an
+// entry invalidated meanwhile invalidate the entry and return nil so
+// the caller's retry re-resolves (possibly at another replica, via the
+// refresh protocol); other origin verdicts pass through downstream.
 func (p *Proxy) fetchBlock(ent *entry, bi int64) proto.Message {
 	ch, claimed := p.claimFill(ent, bi)
 	if !claimed {
@@ -171,8 +176,12 @@ func (p *Proxy) fetchBlock(ent *entry, bi int64) proto.Message {
 	}
 	defer p.finishFill(ent, bi, ch)
 	sp := p.cfg.Tracer.Start("pcache.fill", ent.path)
-	bs := p.cfg.BlockSize
-	reply, err := ent.mc.Call(proto.Read{FH: ent.fh, Off: bi * int64(bs), N: uint32(bs)}, p.cfg.RPCTimeout)
+	var reply proto.Message
+	var frame *proto.Frame
+	ca, err := p.startRead(ent, bi)
+	if err == nil {
+		reply, frame, err = ca.WaitFrame(p.cfg.RPCTimeout)
+	}
 	if err != nil {
 		if sp != nil {
 			sp.End("origin severed: " + err.Error())
@@ -180,16 +189,24 @@ func (p *Proxy) fetchBlock(ent *entry, bi int64) proto.Message {
 		p.invalidateEntry(ent)
 		return nil
 	}
-	switch v := reply.(type) {
-	case proto.Data:
+	if v, ok := reply.(proto.Data); ok {
 		p.st.originBytes.Add(int64(len(v.Bytes)))
-		data := make([]byte, len(v.Bytes))
-		copy(data, v.Bytes) // v.Bytes aliases the receive frame
-		p.insertBlock(ent, bi, data)
+		p.insertBlock(ent, bi, v.Bytes, frame)
 		sp.End("filled")
 		return nil
+	}
+	frame.Release() // no other verdict aliases the frame
+	switch v := reply.(type) {
 	case proto.Err:
+		// An entry invalidated while the read was in flight has had its
+		// origin handle closed under it: the verdict is about that
+		// handle, not the file, so the caller's retry re-resolves.
+		superseded := p.entryDead(ent)
 		p.invalidateEntry(ent)
+		if superseded {
+			sp.End("binding invalidated")
+			return nil
+		}
 		if v.Code == proto.ENoEnt {
 			sp.End("origin lost file")
 			return nil // retry re-resolves through a refresh walk
@@ -203,6 +220,13 @@ func (p *Proxy) fetchBlock(ent *entry, bi int64) proto.Message {
 		sp.End("bad reply")
 		return proto.Err{Code: proto.EIO, Msg: "pcache: unexpected origin read reply"}
 	}
+}
+
+// startRead sends the origin Read for block bi; the caller finishes
+// the call with WaitFrame and owns the reply frame.
+func (p *Proxy) startRead(ent *entry, bi int64) (*mux.Call, error) {
+	bs := p.cfg.BlockSize
+	return ent.mc.Start(proto.Read{FH: ent.fh, Off: bi * int64(bs), N: uint32(bs)})
 }
 
 // prefetch pipelines the next blocks of the readahead window from
@@ -243,7 +267,7 @@ func (p *Proxy) prefetch(ent *entry, from int64) {
 		defer p.wg.Done()
 		calls := make([]*mux.Call, len(need))
 		for i, bi := range need {
-			ca, err := ent.mc.Start(proto.Read{FH: ent.fh, Off: bi * bs, N: uint32(bs)})
+			ca, err := p.startRead(ent, bi)
 			if err != nil {
 				break
 			}
@@ -251,12 +275,12 @@ func (p *Proxy) prefetch(ent *entry, from int64) {
 		}
 		for i, ca := range calls {
 			if ca != nil {
-				if reply, err := ca.Wait(p.cfg.RPCTimeout); err == nil {
+				if reply, frame, err := ca.WaitFrame(p.cfg.RPCTimeout); err == nil {
 					if d, ok := reply.(proto.Data); ok {
 						p.st.originBytes.Add(int64(len(d.Bytes)))
-						data := make([]byte, len(d.Bytes))
-						copy(data, d.Bytes)
-						p.insertBlock(ent, need[i], data)
+						p.insertBlock(ent, need[i], d.Bytes, frame)
+					} else {
+						frame.Release()
 					}
 				}
 			}
@@ -301,22 +325,25 @@ func (p *Proxy) finishFill(ent *entry, bi int64, ch chan struct{}) {
 
 // ------------------------------------------------- block bookkeeping
 
-// insertBlock makes data resident for (ent, bi), charging capacity and
-// evicting from the LRU tail until the cache fits. Duplicate inserts
-// (a racing prefetch) and inserts into dead entries are dropped.
-func (p *Proxy) insertBlock(ent *entry, bi int64, data []byte) {
+// insertBlock makes data resident for (ent, bi), adopting frame, the
+// pooled reply frame data aliases. It charges capacity with the frame
+// buffer the block pins and evicts from the LRU tail until the cache
+// fits. Duplicate inserts (a racing prefetch) and inserts into dead
+// entries release the frame and insert nothing.
+func (p *Proxy) insertBlock(ent *entry, bi int64, data []byte, frame *proto.Frame) {
 	p.bmu.Lock()
 	defer p.bmu.Unlock()
 	if ent.dead || ent.blocks[bi] != nil {
+		frame.Release()
 		return
 	}
-	b := &block{ent: ent, idx: bi, data: data, ta: p.tw}
+	b := &block{ent: ent, idx: bi, data: data, frame: frame, ta: p.tw}
 	ent.blocks[bi] = b
 	p.lruPushFront(b)
 	w := p.tw % uint64(len(p.windows))
 	b.wnext = p.windows[w]
 	p.windows[w] = b
-	p.blockBytes += int64(len(data))
+	p.blockBytes += b.pinned()
 	p.nblocks++
 	for p.blockBytes > p.cfg.CacheBytes && p.lruBack != nil && p.lruBack != b {
 		victim := p.lruBack
@@ -325,9 +352,15 @@ func (p *Proxy) insertBlock(ent *entry, bi int64, data []byte) {
 	}
 }
 
+// pinned is the memory a resident block holds: the capacity of the
+// frame buffer it adopted, which a short last block does not shrink.
+func (b *block) pinned() int64 { return int64(cap(b.frame.Bytes())) }
+
 // dropBlockLocked removes a block from its entry and the LRU list and
-// releases its bytes; the window chain discards the husk at its next
-// sweep. Caller holds bmu.
+// returns its frame to the pool — the one release of a resident
+// block's frame, guarded by gone; the window chain discards the husk
+// at its next sweep. Caller holds bmu, which is what makes the release
+// safe: the hit path reads block.data only under bmu.
 func (p *Proxy) dropBlockLocked(b *block) {
 	if b.gone {
 		return
@@ -337,9 +370,10 @@ func (p *Proxy) dropBlockLocked(b *block) {
 	if b.ent.blocks != nil {
 		delete(b.ent.blocks, b.idx)
 	}
-	p.blockBytes -= int64(len(b.data))
+	p.blockBytes -= b.pinned()
 	p.nblocks--
-	b.data = nil
+	b.frame.Release()
+	b.data, b.frame = nil, nil
 }
 
 // tickBlocks advances the block cache's window clock one step and

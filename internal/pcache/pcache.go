@@ -62,11 +62,12 @@ type Config struct {
 	// Name identifies the proxy in summary frames. Default "pcache".
 	Name string
 	// BlockSize is the data-cache block granularity. Blocks above the
-	// frame pool's retention cap (128 KiB) still work but re-allocate
-	// per hit. Default DefaultBlockSize.
+	// frame pool's retention cap (128 KiB) still work but allocate a
+	// frame per fill and per hit. Default DefaultBlockSize.
 	BlockSize int
-	// CacheBytes caps resident block data; LRU eviction enforces it.
-	// Default DefaultCacheBytes.
+	// CacheBytes caps the memory resident blocks pin (each block's
+	// frame buffer); LRU eviction enforces it. Default
+	// DefaultCacheBytes.
 	CacheBytes int64
 	// BlockLifetime ages blocks out via the 64 eviction windows: a
 	// block untouched by sweeps is dropped one lifetime after insert.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -426,5 +428,124 @@ func TestProxyFrameAndAdmin(t *testing.T) {
 	}
 	if p.AdminHandler() == nil {
 		t.Fatal("no admin handler")
+	}
+}
+
+// TestProxyRecycledFramesServeRightBytes stresses the adopted-frame
+// ownership of the block cache (DESIGN.md §9.3). Readers fetch random
+// spans of several files through a cache far smaller than the data,
+// while other goroutines sweep the lifetime windows, invalidate whole
+// origin servers and write files through the proxy (with their own
+// bytes, so every file keeps its payload). A frame released twice, or
+// released while its block is still resident, is handed out again and
+// overwritten by another block's or reply's bytes; the readers then
+// see bytes that differ from the payload. Run it under -race.
+func TestProxyRecycledFramesServeRightBytes(t *testing.T) {
+	const (
+		files  = 6
+		size   = 4 * DefaultBlockSize
+		reads  = 120
+		reader = 4
+	)
+	o := startOrigin(t, 2)
+	paths := make([]string, files)
+	bodies := make([][]byte, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/store/stress-%d.root", i)
+		bodies[i] = payload(byte(10+i), size)
+		if err := o.stores[i%2].Put(paths[i], bodies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, cl := startProxy(t, o, Config{CacheBytes: 6 * DefaultBlockSize, OriginReadahead: 2})
+
+	stop := make(chan struct{})
+	var chaos sync.WaitGroup
+	loop := func(every time.Duration, step func(i int)) {
+		chaos.Add(1)
+		go func() {
+			defer chaos.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				step(i)
+				time.Sleep(every)
+			}
+		}()
+	}
+	loop(10*time.Millisecond, func(int) {
+		// A whole lifetime at once: every block resident now expires.
+		for k := 0; k < cache.Windows; k++ {
+			p.tickBlocks()
+		}
+	})
+	loop(7*time.Millisecond, func(i int) { p.InvalidateOrigin(o.srvs[i%2].DataAddr()) })
+	loop(3*time.Millisecond, func(i int) {
+		path, want := paths[i%files], bodies[i%files]
+		f, err := cl.OpenWrite(path)
+		if err != nil {
+			t.Errorf("write-open %s: %v", path, err)
+			return
+		}
+		off := int64(i*7919) % size
+		if _, err := f.WriteAt(want[off:min(off+8<<10, size)], off); err != nil {
+			t.Errorf("write %s at %d: %v", path, off, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Errorf("close %s: %v", path, err)
+		}
+	})
+
+	var readers sync.WaitGroup
+	for r := 0; r < reader; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			buf := make([]byte, 96<<10)
+			for i := 0; i < reads; i++ {
+				fi := rng.Intn(files)
+				want := bodies[fi]
+				off := rng.Int63n(size)
+				n := 1 + rng.Intn(len(buf))
+				// Under this much churn a read may exhaust the proxy's
+				// bounded fill retries; it is tried again, but wrong
+				// bytes fail at once.
+				var err error
+				for try := 0; try < 3; try++ {
+					var f *client.File
+					if f, err = cl.Open(paths[fi]); err != nil {
+						continue
+					}
+					var got int
+					got, err = f.ReadAt(buf[:n], off)
+					f.Close()
+					if err != nil && err != io.EOF {
+						continue
+					}
+					if got == 0 || !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
+						t.Errorf("reader %d: %s at %d served %d wrong bytes", r, paths[fi], off, got)
+						return
+					}
+					err = nil
+					break
+				}
+				if err != nil {
+					t.Errorf("reader %d: read %s at %d: %v", r, paths[fi], off, err)
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	chaos.Wait()
+
+	s := p.Stats()
+	if s.EvictedLRU == 0 || s.ExpiredWindow == 0 || s.Invalidated == 0 {
+		t.Fatalf("schedule went vacuous, every drop path must run: %+v", s)
 	}
 }

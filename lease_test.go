@@ -1,10 +1,13 @@
 package scalla
 
 import (
+	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
 	"scalla/internal/client"
+	"scalla/internal/proto"
 	"scalla/internal/transport"
 )
 
@@ -183,5 +186,55 @@ func TestStaleLeaseCostsOneExtraWalk(t *testing.T) {
 	}
 	if sent := net.since(before); sent[c.ManagerAddrs()[0]] != 0 {
 		t.Fatalf("the renewed lease still walked: %v", sent)
+	}
+}
+
+// A negative ReadAt offset on a handle-backed File is the caller's
+// mistake, not the server's: it fails with ErrIO before any frame is
+// sent, and the lease and the handle stay good.
+func TestNegativeReadAtSendsNothing(t *testing.T) {
+	c, err := StartCluster(quickOptions(1, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	const path = "/lease/negative"
+	body := bytes.Repeat([]byte("neg"), proto.InlineMax/3+1)
+	c.Store(0).Put(path, body)
+	net := newDestCounting(c.Net)
+	cl := client.New(client.Config{Net: net, Managers: c.ManagerAddrs()})
+	defer cl.Close()
+	if _, err := cl.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cl.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	before := net.sent()
+	buf := make([]byte, 64)
+	if n, err := f.ReadAt(buf, -1); n != 0 || !errors.Is(err, client.ErrIO) {
+		t.Fatalf("ReadAt(-1) = %d, %v; want 0, ErrIO", n, err)
+	}
+	if sent := net.since(before); total(sent) != 0 {
+		t.Fatalf("a negative-offset read sent %v; want nothing", sent)
+	}
+	n, err := f.ReadAt(buf, 3)
+	if err != nil || !bytes.Equal(buf[:n], body[3:3+len(buf)]) {
+		t.Fatalf("ReadAt(3) after the bad call = %q, %v", buf[:n], err)
+	}
+	if ls := cl.LeaseStats(); ls.Fallbacks != 0 {
+		t.Fatalf("LeaseStats = %+v; the bad call dropped the lease", ls)
+	}
+	before = net.sent()
+	g, err := cl.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	if sent := net.since(before); sent[c.Servers[0].DataAddr()] == 0 || sent[c.ManagerAddrs()[0]] != 0 {
+		t.Fatalf("open after the bad call sent %v; want the leased server only", sent)
 	}
 }
