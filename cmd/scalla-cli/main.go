@@ -17,9 +17,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"scalla/internal/client"
+	"scalla/internal/cmdutil"
 	"scalla/internal/nsd"
 	"scalla/internal/proto"
 	"scalla/internal/transport"
@@ -52,7 +52,7 @@ func main() {
 		if *servers == "" {
 			log.Fatal("scalla-cli: ls/tree need -servers (the namespace is served by the NSD, not the manager)")
 		}
-		d := nsd.New(net, splitList(*servers)...)
+		d := nsd.New(net, cmdutil.SplitList(*servers)...)
 		prefix := "/"
 		if len(args) > 1 {
 			prefix = args[1]
@@ -71,7 +71,7 @@ func main() {
 		return
 	}
 
-	cl := client.New(client.Config{Net: net, Managers: splitList(*mgr)})
+	cl := client.New(client.Config{Net: net, Managers: cmdutil.SplitList(*mgr)})
 	defer cl.Close()
 
 	switch args[0] {
@@ -119,8 +119,8 @@ func main() {
 		fmt.Printf("prepare queued for %d files\n", len(args)-1)
 	case "status":
 		// Ping the manager(s) and any -servers for liveness/load.
-		targets := splitList(*mgr)
-		targets = append(targets, splitList(*servers)...)
+		targets := cmdutil.SplitList(*mgr)
+		targets = append(targets, cmdutil.SplitList(*servers)...)
 		for _, addr := range targets {
 			load, free, err := ping(net, addr)
 			if err != nil {
@@ -163,14 +163,4 @@ func need(args []string, n int) {
 	if len(args) < n {
 		usage()
 	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -25,16 +25,15 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"scalla/internal/cmdutil"
 	"scalla/internal/obs"
 	"scalla/internal/pcache"
 	"scalla/internal/transport"
@@ -49,7 +48,7 @@ func main() {
 	blockLifetime := flag.Duration("block-lifetime", 10*time.Minute, "block age-out via the eviction windows")
 	locLifetime := flag.Duration("loc-lifetime", 8*time.Hour, "location object lifetime Lt")
 	readahead := flag.Int("readahead", 4, "blocks fetched from origin per miss")
-	workers := flag.Int("workers", 8, "concurrent dispatch per downstream connection")
+	workers := flag.Int("workers", 8, "requests dispatched at once across all downstream connections")
 	rpcTimeout := flag.Duration("rpc-timeout", 15*time.Second, "one origin exchange bound")
 	admin := flag.String("admin", "", "admin/status HTTP address serving /statusz /metricsz /tracez")
 	summary := flag.String("summary", "", "summary-stream target: udp:host:port, tcp:host:port, or - for stdout")
@@ -65,7 +64,7 @@ func main() {
 		// Counted so summary frames carry the proxy's frame/byte totals.
 		Net:             transport.Counting(transport.TCP()),
 		Addr:            *data,
-		Origins:         splitList(*origins),
+		Origins:         cmdutil.SplitList(*origins),
 		Name:            *name,
 		BlockSize:       *block,
 		CacheBytes:      *cacheBytes,
@@ -80,7 +79,7 @@ func main() {
 		cfg.Tracer.SetEnabled(true)
 	}
 	if *summary != "" {
-		sink, err := summarySink(*summary)
+		sink, err := cmdutil.ParseSink(*summary)
 		if err != nil {
 			log.Fatalf("scalla-pcache: %v", err)
 		}
@@ -112,28 +111,4 @@ func main() {
 	<-sig
 	log.Print("scalla-pcache: shutting down")
 	p.Close()
-}
-
-// summarySink builds the sink a -summary target names.
-func summarySink(target string) (obs.Sink, error) {
-	switch {
-	case target == "-":
-		return obs.NewWriterSink(os.Stdout), nil
-	case strings.HasPrefix(target, "udp:"):
-		return obs.NewUDPSink(strings.TrimPrefix(target, "udp:"))
-	case strings.HasPrefix(target, "tcp:"):
-		return obs.NewTCPSink(strings.TrimPrefix(target, "tcp:")), nil
-	default:
-		return nil, fmt.Errorf("bad -summary target %q (want udp:host:port, tcp:host:port, or -)", target)
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

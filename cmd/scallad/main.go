@@ -34,10 +34,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
+	"scalla/internal/cmdutil"
 	"scalla/internal/cmsd"
 	"scalla/internal/obs"
 	"scalla/internal/proto"
@@ -87,7 +87,7 @@ func main() {
 	cfg := cmsd.NodeConfig{
 		Name: *name, Role: r,
 		DataAddr: *data, CtlAddr: *ctl,
-		Prefixes: splitList(*exports),
+		Prefixes: cmdutil.SplitList(*exports),
 		// Counted so the summary stream carries the node's frame/byte
 		// totals (the transport section of each frame).
 		Net:      transport.Counting(transport.TCP()),
@@ -98,7 +98,7 @@ func main() {
 		cfg.Tracer.SetEnabled(true)
 	}
 	if *summary != "" {
-		sink, err := summarySink(*summary)
+		sink, err := cmdutil.ParseSink(*summary)
 		if err != nil {
 			log.Fatalf("scallad: %v", err)
 		}
@@ -106,7 +106,7 @@ func main() {
 		cfg.SummaryEvery = *summaryEvery
 	}
 	if *parents != "" {
-		cfg.Parents = splitList(*parents)
+		cfg.Parents = cmdutil.SplitList(*parents)
 	}
 	if r != proto.RoleServer {
 		cfg.Core = cmsd.Config{FullDelay: *fullDelay}
@@ -128,7 +128,7 @@ func main() {
 		}
 		defer st.Close()
 		if *preload != "" {
-			if err := loadDir(st, *preload, splitList(*exports)[0]); err != nil {
+			if err := loadDir(st, *preload, cmdutil.SplitList(*exports)[0]); err != nil {
 				log.Fatalf("scallad: preload: %v", err)
 			}
 		}
@@ -162,30 +162,6 @@ func main() {
 	<-sig
 	log.Print("scallad: shutting down")
 	node.Stop()
-}
-
-// summarySink builds the sink a -summary target names.
-func summarySink(target string) (obs.Sink, error) {
-	switch {
-	case target == "-":
-		return obs.NewWriterSink(os.Stdout), nil
-	case strings.HasPrefix(target, "udp:"):
-		return obs.NewUDPSink(strings.TrimPrefix(target, "udp:"))
-	case strings.HasPrefix(target, "tcp:"):
-		return obs.NewTCPSink(strings.TrimPrefix(target, "tcp:")), nil
-	default:
-		return nil, fmt.Errorf("bad -summary target %q (want udp:host:port, tcp:host:port, or -)", target)
-	}
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // loadDir seeds the store with every regular file under dir, placed

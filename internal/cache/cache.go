@@ -33,6 +33,7 @@ import (
 	"scalla/internal/bitvec"
 	"scalla/internal/fib"
 	"scalla/internal/names"
+	"scalla/internal/obs"
 	"scalla/internal/vclock"
 )
 
@@ -315,8 +316,30 @@ func (c *Cache) ShardStats() []ShardStat {
 	return out
 }
 
-// ShardCount returns the number of lock stripes.
-func (c *Cache) ShardCount() int { return len(c.shards) }
+// Summary renders the cache's stats as the obs summary-frame section,
+// for daemons assembling their monitoring frames.
+func (c *Cache) Summary() *obs.CacheSummary {
+	cs := c.Stats()
+	lf := 0.0
+	if cs.Buckets > 0 {
+		lf = float64(cs.Entries) / float64(cs.Buckets)
+	}
+	conn := c.ConnStamps()
+	shardEntries := make([]int64, len(c.shards))
+	for i, s := range c.shards {
+		shardEntries[i] = s.count.Load()
+	}
+	return &obs.CacheSummary{
+		Entries: cs.Entries, Buckets: cs.Buckets, LoadFactor: lf,
+		Inserts: cs.Inserts, Hits: cs.Hits, Misses: cs.Misses,
+		Resizes: cs.Resizes, Hidden: cs.Hidden, Swept: cs.Swept,
+		Refreshes:    cs.Refreshes,
+		Ticks:        c.TickCount(),
+		Epoch:        c.Epoch(),
+		Conn:         obs.TrimConn(conn[:]),
+		ShardEntries: shardEntries,
+	}
+}
 
 // Len returns the number of findable entries.
 func (c *Cache) Len() int64 {

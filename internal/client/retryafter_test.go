@@ -13,6 +13,16 @@ import (
 	"scalla/internal/transport"
 )
 
+// serve answers every connection accepted on lis with h, through a
+// mux Face closed when the test ends.
+func serve(t *testing.T, lis transport.Listener, h mux.Handler) {
+	f := mux.NewFace(mux.FaceConfig{
+		NewConn: func() (mux.Handler, func()) { return h, nil },
+	})
+	go f.Serve(lis)
+	t.Cleanup(f.Close)
+}
+
 // shedServer serves one address, answering every Open with RetryAfter
 // until `admit` sheds have been issued, then with OpenOK. It records
 // whether any Locate{Refresh} arrived — the stale-location recovery a
@@ -29,33 +39,24 @@ func startShedServer(t *testing.T, net transport.Network, addr string, admitAt i
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { lis.Close() })
 	s := &shedServer{admitAt: admitAt}
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
+	serve(t, lis, func(m proto.Message, r mux.Responder) proto.Message {
+		switch v := m.(type) {
+		case proto.Locate:
+			if v.Refresh {
+				s.refreshes.Add(1)
 			}
-			go mux.Serve(conn, func(m proto.Message, r mux.Responder) proto.Message {
-				switch v := m.(type) {
-				case proto.Locate:
-					if v.Refresh {
-						s.refreshes.Add(1)
-					}
-					return proto.RetryAfter{Millis: 10}
-				case proto.Open:
-					if s.admitAt >= 0 && s.sheds.Load() >= s.admitAt {
-						return proto.OpenOK{FH: 7, Size: 1}
-					}
-					s.sheds.Add(1)
-					return proto.RetryAfter{Millis: 10}
-				default:
-					return proto.Err{Code: proto.EInval, Msg: "unexpected"}
-				}
-			}, mux.ServeOptions{})
+			return proto.RetryAfter{Millis: 10}
+		case proto.Open:
+			if s.admitAt >= 0 && s.sheds.Load() >= s.admitAt {
+				return proto.OpenOK{FH: 7, Size: 1}
+			}
+			s.sheds.Add(1)
+			return proto.RetryAfter{Millis: 10}
+		default:
+			return proto.Err{Code: proto.EInval, Msg: "unexpected"}
 		}
-	}()
+	})
 	return s
 }
 
@@ -139,33 +140,24 @@ func TestReadAtRetriesSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lis.Close()
 	var mu sync.Mutex
 	readSheds := 0
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
+	serve(t, lis, func(m proto.Message, r mux.Responder) proto.Message {
+		switch m.(type) {
+		case proto.Open:
+			return proto.OpenOK{FH: 9, Size: 4}
+		case proto.Read:
+			mu.Lock()
+			defer mu.Unlock()
+			if readSheds < 2 {
+				readSheds++
+				return proto.RetryAfter{Millis: 5}
 			}
-			go mux.Serve(conn, func(m proto.Message, r mux.Responder) proto.Message {
-				switch m.(type) {
-				case proto.Open:
-					return proto.OpenOK{FH: 9, Size: 4}
-				case proto.Read:
-					mu.Lock()
-					defer mu.Unlock()
-					if readSheds < 2 {
-						readSheds++
-						return proto.RetryAfter{Millis: 5}
-					}
-					return proto.Data{FH: 9, Bytes: []byte("data"), EOF: true}
-				default:
-					return proto.Err{Code: proto.EInval, Msg: "unexpected"}
-				}
-			}, mux.ServeOptions{})
+			return proto.Data{FH: 9, Bytes: []byte("data"), EOF: true}
+		default:
+			return proto.Err{Code: proto.EInval, Msg: "unexpected"}
 		}
-	}()
+	})
 	cl := New(Config{Net: net, Managers: []string{"srv"}, WaitBudget: 5 * time.Second, Readahead: 1})
 	defer cl.Close()
 	f, err := cl.Open("/f")

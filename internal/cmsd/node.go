@@ -148,10 +148,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 
 // Node is a running Scalla node.
 type Node struct {
-	cfg       NodeConfig
-	core      *Core          // redirector roles
-	data      *xrd.Server    // server role
-	dataSched *mux.Scheduler // redirector data face (nil on servers)
+	cfg      NodeConfig
+	core     *Core       // redirector roles
+	data     *xrd.Server // server role
+	dataFace *mux.Face   // redirector data face (nil on servers)
 
 	dataL transport.Listener
 	ctlL  transport.Listener
@@ -159,7 +159,7 @@ type Node struct {
 	mu       sync.Mutex
 	conns    map[int]transport.Conn      // child control links by index
 	lastSeen map[int]time.Time           // last frame time per child index
-	live     map[transport.Conn]struct{} // every open connection, closed on Stop
+	live     map[transport.Conn]struct{} // open control links, closed on Stop
 
 	parentsUp atomic.Int32 // successfully logged-in parent links
 	queries   atomic.Int64 // location queries received from parents
@@ -204,12 +204,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			// stalling unrelated requests.
 			workers = 16
 		}
-		n.dataSched = mux.NewScheduler(mux.SchedConfig{
-			Workers:          workers,
-			QueueLimit:       cfg.DispatchQueue,
-			RetryAfterMillis: cfg.RetryAfterMillis,
-			Seed:             cfg.SchedSeed,
-			Clock:            cfg.Clock,
+		n.dataFace = mux.NewFace(mux.FaceConfig{
+			Name: "cmsd " + cfg.Name,
+			Sched: mux.SchedConfig{
+				Workers:          workers,
+				QueueLimit:       cfg.DispatchQueue,
+				RetryAfterMillis: cfg.RetryAfterMillis,
+				Seed:             cfg.SchedSeed,
+				Clock:            cfg.Clock,
+			},
+			Tracer: cfg.Tracer,
+			Logf:   cfg.Logf,
+			NewConn: func() (mux.Handler, func()) {
+				return n.redirectorRequest, nil
+			},
 		})
 	default:
 		return nil, fmt.Errorf("cmsd: unknown role %v", cfg.Role)
@@ -240,12 +248,11 @@ func (n *Node) Start() error {
 		if err != nil {
 			return fmt.Errorf("cmsd: %s: data listen: %w", n.cfg.Name, err)
 		}
-		if n.cfg.Role == proto.RoleServer {
-			n.wg.Add(1)
-			go func() { defer n.wg.Done(); n.data.Serve(n.dataL) }()
+		// The serve loop returns once Stop closes the data face.
+		if n.data != nil {
+			go n.data.Serve(n.dataL)
 		} else {
-			n.wg.Add(1)
-			go func() { defer n.wg.Done(); n.serveRedirector(n.dataL) }()
+			go n.dataFace.Serve(n.dataL)
 		}
 	}
 	if n.cfg.Role != proto.RoleServer && n.cfg.CtlAddr != "" {
@@ -279,25 +286,21 @@ func (n *Node) Stop() {
 		return
 	}
 	close(n.stop)
-	if n.dataL != nil {
-		n.dataL.Close()
-	}
 	if n.ctlL != nil {
 		n.ctlL.Close()
 	}
-	// Close live connections before the schedulers: scheduler Close
-	// waits for in-flight handlers, and a handler blocked replying to a
-	// wedged peer only unblocks once its connection dies.
 	n.mu.Lock()
 	for c := range n.live {
 		c.Close()
 	}
 	n.mu.Unlock()
+	// The data face closes its listener and connections before its
+	// scheduler, so no handler is left sending to a wedged peer.
 	if n.data != nil {
 		n.data.Close()
 	}
-	if n.dataSched != nil {
-		n.dataSched.Close()
+	if n.dataFace != nil {
+		n.dataFace.Close()
 	}
 	if n.core != nil {
 		n.core.Close()
@@ -769,32 +772,6 @@ func (n *Node) Negatives() int64 { return n.negatives.Load() }
 
 // ---------------------------------------------------------------------
 // Redirector data plane.
-
-func (n *Node) serveRedirector(l transport.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go func() { defer n.wg.Done(); n.redirectorConn(conn) }()
-	}
-}
-
-func (n *Node) redirectorConn(conn transport.Conn) {
-	if !n.track(conn) {
-		return
-	}
-	defer n.untrack(conn)
-	defer conn.Close()
-	mux.Serve(conn, n.redirectorRequest, mux.ServeOptions{
-		Sched:  n.dataSched,
-		Tracer: n.cfg.Tracer,
-		OnError: func(err error) {
-			n.cfg.Logf("cmsd %s: bad data-plane frame from %s: %v", n.cfg.Name, conn.RemoteAddr(), err)
-		},
-	})
-}
 
 // redirectorRequest resolves one data-plane request on a redirector;
 // it may block in the fast response queue, so concurrent dispatch runs

@@ -17,27 +17,7 @@ import (
 func (n *Node) Frame() obs.Frame {
 	f := obs.Frame{Node: n.cfg.Name, Role: n.cfg.Role.String()}
 	if c := n.core; c != nil {
-		cs := c.Cache().Stats()
-		lf := 0.0
-		if cs.Buckets > 0 {
-			lf = float64(cs.Entries) / float64(cs.Buckets)
-		}
-		conn := c.Cache().ConnStamps()
-		shardEntries := make([]int64, 0, c.Cache().ShardCount())
-		for _, ss := range c.Cache().ShardStats() {
-			shardEntries = append(shardEntries, ss.Entries)
-		}
-		f.Cache = &obs.CacheSummary{
-			Entries: cs.Entries, Buckets: cs.Buckets, LoadFactor: lf,
-			Inserts: cs.Inserts, Hits: cs.Hits, Misses: cs.Misses,
-			Resizes: cs.Resizes, Hidden: cs.Hidden, Swept: cs.Swept,
-			Refreshes: cs.Refreshes,
-			Ticks:     c.Cache().TickCount(),
-			Epoch:     c.Cache().Epoch(),
-			Conn:      obs.TrimConn(conn[:]),
-
-			ShardEntries: shardEntries,
-		}
+		f.Cache = c.Cache().Summary()
 		qs := c.Queue().Stats()
 		f.RespQ = &obs.RespQSummary{
 			Depth: qs.InUse, Entries: qs.Entries, Joins: qs.Joins,
@@ -75,16 +55,10 @@ func (n *Node) Frame() obs.Frame {
 		f.Cluster = &obs.ClusterSummary{ParentsUp: n.ParentsUp()}
 		f.Sched = d.Sched().Summary()
 	}
-	if n.dataSched != nil {
-		f.Sched = n.dataSched.Summary()
+	if n.dataFace != nil {
+		f.Sched = n.dataFace.Sched().Summary()
 	}
-	if cn, ok := n.cfg.Net.(*transport.CountingNetwork); ok {
-		s := cn.Stats()
-		f.Net = &obs.NetSummary{FramesSent: s.FramesSent, BytesSent: s.BytesSent, Dials: s.Dials}
-	}
-	if w, ok := transport.WireOf(n.cfg.Net); ok {
-		f.Wire = w.Summary()
-	}
+	f.Net, f.Wire = transport.Summaries(n.cfg.Net)
 	if f.Counters == nil {
 		f.Counters = map[string]int64{}
 	}

@@ -12,7 +12,7 @@ package experiments
 //     while the bulk cohort sheds.
 //
 // Bulk latency is allowed to degrade — gracefully, through RetryAfter
-// backoff rather than unbounded queueing. The server is mux.Serve with
+// backoff rather than unbounded queueing. The server is a mux.Face with
 // the production Scheduler and a handler that sleeps 1 ms per read to
 // model media access: worker occupancy is the contended resource, so
 // the experiment measures the scheduler's queueing decisions rather
@@ -128,45 +128,27 @@ func surgeCheckRow(op string, n int64, bound string) []string {
 // surgeServer is the flood target: the production Scheduler in front of
 // a handler with a fixed media-access time per read.
 type surgeServer struct {
-	sched     *mux.Scheduler
-	lis       transport.Listener
-	payload   []byte
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	face    *mux.Face
+	lis     transport.Listener
+	payload []byte
 }
 
 func startSurgeServer(net transport.Network, sc surgeScale) (*surgeServer, error) {
-	s := &surgeServer{
-		sched: mux.NewScheduler(mux.SchedConfig{
+	lis, err := net.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	s := &surgeServer{lis: lis, payload: make([]byte, surgePayload)}
+	rand.New(rand.NewSource(1)).Read(s.payload)
+	s.face = mux.NewFace(mux.FaceConfig{
+		Sched: mux.SchedConfig{
 			QueueLimit:       sc.queue,
 			RetryAfterMillis: sc.retry,
 			Seed:             1,
-		}),
-		payload: make([]byte, surgePayload),
-	}
-	rand.New(rand.NewSource(1)).Read(s.payload)
-	lis, err := net.Listen("127.0.0.1:0")
-	if err != nil {
-		s.sched.Close()
-		return nil, err
-	}
-	s.lis = lis
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				mux.Serve(conn, s.handle, mux.ServeOptions{Sched: s.sched})
-			}()
-		}
-	}()
+		},
+		NewConn: func() (mux.Handler, func()) { return s.handle, nil },
+	})
+	go s.face.Serve(lis)
 	return s, nil
 }
 
@@ -182,17 +164,6 @@ func (s *surgeServer) handle(m proto.Message, r mux.Responder) proto.Message {
 	default:
 		return proto.Err{Code: proto.EInval, Msg: "surge: unexpected"}
 	}
-}
-
-// close stops the listener and the scheduler and waits for every serve
-// loop; those exit only when their sockets die, so callers drop their
-// client connections first.
-func (s *surgeServer) close() {
-	s.closeOnce.Do(func() {
-		s.lis.Close()
-		s.sched.Close()
-		s.wg.Wait()
-	})
 }
 
 // surgeOpen opens the hot file over conn, retrying through sheds.
@@ -293,7 +264,7 @@ func E22Surge(s Scale) Table {
 		t.Notes = append(t.Notes, ErrNote+err.Error())
 		return t
 	}
-	defer srv.close()
+	defer srv.face.Close()
 	addr := srv.lis.Addr()
 
 	dialProbe := func() (*mux.Conn, uint64, error) {
@@ -398,7 +369,7 @@ func E22Surge(s Scale) Table {
 
 	// Phase 3: measure under load. Control probe and victim run
 	// concurrently against the flooded scheduler.
-	preStats := srv.sched.Stats()
+	preStats := srv.face.Sched().Stats()
 	measuring.Store(true)
 	var (
 		ctlLoaded []time.Duration
@@ -413,7 +384,7 @@ func E22Surge(s Scale) Table {
 	victimLoaded, victimErr := surgeVictim(victimConn, victimFH, sc.surge)
 	pingWG.Wait()
 	measuring.Store(false)
-	postStats := srv.sched.Stats()
+	postStats := srv.face.Sched().Stats()
 	stopFlood.Store(true)
 	floodWG.Wait()
 	if pingErr != nil {
@@ -453,8 +424,8 @@ func E22Surge(s Scale) Table {
 	// loops, which only exit when their sockets die.
 	ctlConn.Close()
 	victimConn.Close()
-	srv.close()
-	st := srv.sched.Stats()
+	srv.face.Close()
+	st := srv.face.Sched().Stats()
 	t.Rows = append(t.Rows,
 		surgeCheckRow("queued data after close", int64(st.QueuedData), "0"),
 		surgeCheckRow("in flight after close", int64(st.InFlight), "0"),

@@ -61,7 +61,7 @@ func runSchedSurge(t *testing.T, seed int64, steps int) []shedEvent {
 	rng := rand.New(rand.NewSource(seed))
 	clients := make([]*schedClient, 24)
 	for i := range clients {
-		clients[i] = s.register(nil, nil, ServeOptions{})
+		clients[i] = s.register(nil, nil, nil)
 	}
 
 	var (

@@ -25,40 +25,27 @@ func fairnessSleep(sid uint32) {
 	time.Sleep(fairnessService/2 + spread)
 }
 
-// fairnessServer accepts connections forever and serves each through
-// the shared scheduler with a fixed mean service time per request, so
-// capacity is workers/fairnessService and contention effects dominate
-// measurement noise.
-func fairnessServer(t *testing.T, net transport.Network, sched *Scheduler) func() {
+// fairnessServer serves every connection through one Face whose
+// handler has a fixed mean service time per request, so capacity is
+// workers/fairnessService and contention effects dominate measurement
+// noise. The returned func closes it.
+func fairnessServer(t *testing.T, net transport.Network, sched SchedConfig) func() {
 	t.Helper()
 	lis, err := net.Listen("srv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				Serve(conn, func(m proto.Message, r Responder) proto.Message {
-					fairnessSleep(r.Stream())
-					return proto.StatOK{Exists: true}
-				}, ServeOptions{Sched: sched})
-			}()
-		}
-	}()
-	return func() {
-		lis.Close()
-		wg.Wait()
-	}
+	f := NewFace(FaceConfig{
+		Sched: sched,
+		NewConn: func() (Handler, func()) {
+			return func(m proto.Message, r Responder) proto.Message {
+				fairnessSleep(r.Stream())
+				return proto.StatOK{Exists: true}
+			}, nil
+		},
+	})
+	go f.Serve(lis)
+	return f.Close
 }
 
 // victimRate runs one lock-step client for the window and returns its
@@ -94,9 +81,7 @@ func victimRate(t *testing.T, net transport.Network, window time.Duration) float
 // -race in CI.
 func TestSchedFairness32GreedyVs1Victim(t *testing.T) {
 	net := transport.NewInProc(transport.InProcConfig{})
-	sched := NewScheduler(SchedConfig{Workers: 8, QueueLimit: 2048})
-	defer sched.Close()
-	stop := fairnessServer(t, net, sched)
+	stop := fairnessServer(t, net, SchedConfig{Workers: 8, QueueLimit: 2048})
 	defer stop()
 
 	uncontended := victimRate(t, net, 300*time.Millisecond)

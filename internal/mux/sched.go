@@ -27,6 +27,7 @@ import (
 	"scalla/internal/metrics"
 	"scalla/internal/obs"
 	"scalla/internal/proto"
+	"scalla/internal/transport"
 	"scalla/internal/vclock"
 )
 
@@ -190,9 +191,9 @@ func (r *jobRing) len() int   { return r.n }
 // schedClient is one registered connection's scheduling state: its
 // data-lane FIFO, DRR deficit, and position in the active ring.
 type schedClient struct {
-	st  *serveState
-	h   Handler
-	opt ServeOptions
+	conn transport.Conn
+	h    Handler
+	tr   *obs.Tracer
 
 	q       jobRing
 	deficit int
@@ -218,9 +219,10 @@ type schedClient struct {
 }
 
 // Scheduler is a server-wide request scheduler shared by every
-// connection passed to Serve with ServeOptions.Sched set. It owns the
-// worker pool; per-connection Serve loops only decode frames and
-// enqueue. Close it when the owning server shuts down.
+// connection of a Face: strict-priority control lane, DRR fairness
+// across connections, and bounded-queue shedding with RetryAfter
+// verdicts (DESIGN.md §11). It owns the worker pool; per-connection
+// serve loops only decode frames and enqueue. The Face closes it.
 type Scheduler struct {
 	cfg SchedConfig
 
@@ -242,8 +244,8 @@ type Scheduler struct {
 	wg   sync.WaitGroup
 }
 
-// NewScheduler builds a Scheduler and starts its workers.
-func NewScheduler(cfg SchedConfig) *Scheduler {
+// startScheduler builds a Scheduler and starts its workers.
+func startScheduler(cfg SchedConfig) *Scheduler {
 	s := newScheduler(cfg)
 	s.wg.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -293,9 +295,10 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// register adds one connection to the scheduler.
-func (s *Scheduler) register(st *serveState, h Handler, opt ServeOptions) *schedClient {
-	c := &schedClient{st: st, h: h, opt: opt}
+// register adds one connection to the scheduler; its requests run h,
+// traced on tr when tracing is enabled.
+func (s *Scheduler) register(conn transport.Conn, h Handler, tr *obs.Tracer) *schedClient {
+	c := &schedClient{conn: conn, h: h, tr: tr}
 	s.mu.Lock()
 	s.clients++
 	s.mu.Unlock()
@@ -303,7 +306,8 @@ func (s *Scheduler) register(st *serveState, h Handler, opt ServeOptions) *sched
 }
 
 // unregister drops the client's queued jobs and blocks until its
-// in-flight handlers have returned — Serve's drain contract.
+// in-flight handlers have returned, so the connection's cleanup runs
+// after its last handler.
 func (s *Scheduler) unregister(c *schedClient) {
 	s.mu.Lock()
 	c.gone = true
@@ -527,15 +531,15 @@ func (s *Scheduler) startLocked(j *job) {
 	s.disp[j.lane]++
 }
 
-// dispatch runs one scheduled job: the per-connection dispatch helper
-// split around replied(), so the outstanding count drops before the
-// reply can trigger a lock-step client's next request.
+// dispatch runs one scheduled job through its connection's handler,
+// tracing it and sending the returned reply (if any). replied() runs
+// between the two, so the outstanding count drops before the reply can
+// trigger a lock-step client's next request.
 func (s *Scheduler) dispatch(j job) {
-	r := Responder{st: j.c.st, sid: j.sid}
-	opt := j.c.opt
+	r := Responder{conn: j.c.conn, sid: j.sid}
 	var sp *obs.Span
-	if opt.Tracer.Enabled() {
-		sp = opt.Tracer.Start("dispatch", fmt.Sprintf("%T sid=%d", j.m, j.sid))
+	if j.c.tr.Enabled() {
+		sp = j.c.tr.Start("dispatch", fmt.Sprintf("%T sid=%d", j.m, j.sid))
 	}
 	reply := j.c.h(j.m, r)
 	s.replied(j)

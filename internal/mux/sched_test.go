@@ -34,7 +34,7 @@ func stepFinish(s *Scheduler, j job) {
 // it, no matter how deep the data backlog is.
 func TestSchedControlLanePreemptsData(t *testing.T) {
 	s := stepSched(SchedConfig{Workers: 4, QueueLimit: 1000})
-	c := s.register(nil, nil, ServeOptions{})
+	c := s.register(nil, nil, nil)
 	for i := 0; i < 100; i++ {
 		if shedded, _ := s.enqueue(c, proto.Read{FH: 1, N: 64 << 10}, uint32(i), nil); shedded {
 			t.Fatalf("data enqueue %d shed below QueueLimit", i)
@@ -60,7 +60,7 @@ func TestSchedControlLanePreemptsData(t *testing.T) {
 // arrivals never shed, and draining reopens admission.
 func TestSchedShedsBeyondQueueLimit(t *testing.T) {
 	s := stepSched(SchedConfig{QueueLimit: 4, RetryAfterMillis: 100})
-	c := s.register(nil, nil, ServeOptions{})
+	c := s.register(nil, nil, nil)
 	for i := 0; i < 4; i++ {
 		if shedded, _ := s.enqueue(c, proto.Locate{Path: "/f"}, uint32(i), nil); shedded {
 			t.Fatalf("enqueue %d shed below limit", i)
@@ -79,7 +79,7 @@ func TestSchedShedsBeyondQueueLimit(t *testing.T) {
 	// The guarantee slot: a client with nothing queued is admitted even
 	// at the limit, so the full queue starves its filler, not a sparse
 	// newcomer.
-	sparse := s.register(nil, nil, ServeOptions{})
+	sparse := s.register(nil, nil, nil)
 	if shedded, _ := s.enqueue(sparse, proto.Locate{Path: "/g"}, 6, nil); shedded {
 		t.Fatal("sparse client's first request shed at full queue; guarantee slot broken")
 	}
@@ -103,8 +103,8 @@ func TestSchedShedsBeyondQueueLimit(t *testing.T) {
 // one.
 func TestSchedDRRSharesByCost(t *testing.T) {
 	s := stepSched(SchedConfig{QueueLimit: 1000, Quantum: 8})
-	big := s.register(nil, nil, ServeOptions{})
-	small := s.register(nil, nil, ServeOptions{})
+	big := s.register(nil, nil, nil)
+	small := s.register(nil, nil, nil)
 	for i := 0; i < 16; i++ {
 		s.enqueue(big, proto.Read{FH: 1, N: 128 << 10}, uint32(i), nil) // cost 9
 	}
@@ -133,7 +133,7 @@ func TestSchedDRRSharesByCost(t *testing.T) {
 // and blocks until its running handlers return.
 func TestSchedUnregisterDropsQueuedAndDrains(t *testing.T) {
 	s := stepSched(SchedConfig{QueueLimit: 100})
-	c := s.register(nil, nil, ServeOptions{})
+	c := s.register(nil, nil, nil)
 	for i := 0; i < 5; i++ {
 		s.enqueue(c, proto.Locate{Path: "/f"}, uint32(i), nil)
 	}
@@ -165,7 +165,7 @@ func TestSchedUnregisterDropsQueuedAndDrains(t *testing.T) {
 	}
 }
 
-// TestSchedServeRepliesRetryAfter runs the full scheduled Serve path
+// TestSchedServeRepliesRetryAfter runs a Face's scheduled serve path
 // over a real connection: a stalled worker pool and a tiny queue must
 // produce RetryAfter replies on the wire while admitted requests still
 // answer after the stall clears.
@@ -175,21 +175,20 @@ func TestSchedServeRepliesRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := NewScheduler(SchedConfig{Workers: 1, QueueLimit: 1, RetryAfterMillis: 40})
-	defer sched.Close()
 	release := make(chan struct{})
 	var served atomic.Int64
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		Serve(conn, func(m proto.Message, r Responder) proto.Message {
-			<-release
-			served.Add(1)
-			return proto.StatOK{Exists: true}
-		}, ServeOptions{Sched: sched})
-	}()
+	f := NewFace(FaceConfig{
+		Sched: SchedConfig{Workers: 1, QueueLimit: 1, RetryAfterMillis: 40},
+		NewConn: func() (Handler, func()) {
+			return func(m proto.Message, r Responder) proto.Message {
+				<-release
+				served.Add(1)
+				return proto.StatOK{Exists: true}
+			}, nil
+		},
+	})
+	defer f.Close()
+	go f.Serve(lis)
 
 	mc, err := Dial(net, "srv", Options{MaxInFlight: 16})
 	if err != nil {
@@ -250,7 +249,7 @@ func TestSchedServeRepliesRetryAfter(t *testing.T) {
 // frame decode (outside this path) and rides the ring by value.
 func TestSchedDispatchAllocsNothing(t *testing.T) {
 	s := stepSched(SchedConfig{QueueLimit: 1024})
-	c := s.register(nil, nil, ServeOptions{})
+	c := s.register(nil, nil, nil)
 	var m proto.Message = proto.Read{FH: 7, Off: 0, N: 64 << 10}
 	// Warm the rings and histograms.
 	for i := 0; i < 32; i++ {
@@ -282,7 +281,7 @@ func TestSchedDispatchAllocsNothing(t *testing.T) {
 // finish cycle; ReportAllocs documents the 0 allocs/op claim in CI.
 func BenchmarkSchedDispatch(b *testing.B) {
 	s := stepSched(SchedConfig{QueueLimit: 1024})
-	c := s.register(nil, nil, ServeOptions{})
+	c := s.register(nil, nil, nil)
 	var m proto.Message = proto.Read{FH: 7, Off: 0, N: 64 << 10}
 	b.ReportAllocs()
 	b.ResetTimer()

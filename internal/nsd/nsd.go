@@ -21,25 +21,28 @@ import (
 
 // Daemon aggregates the namespaces of a set of data servers.
 type Daemon struct {
-	net   transport.Network
-	sched *mux.Scheduler
+	net  transport.Network
+	face *mux.Face
 
 	mu      sync.Mutex
 	servers []string // data addresses of leaf servers
-	l       transport.Listener
 }
 
 // New returns a Daemon that will consult the given servers.
 func New(net transport.Network, servers ...string) *Daemon {
-	return &Daemon{
-		net: net,
+	d := &Daemon{net: net, servers: append([]string(nil), servers...)}
+	d.face = mux.NewFace(mux.FaceConfig{
+		Name: "nsd",
 		// Listing fans out to every server, so a few concurrent workers
 		// overlap fan-outs nicely without needing a deep pool. The shared
 		// scheduler keeps one greedy lister from monopolizing them and
 		// sheds (rather than queues without bound) under surge.
-		sched:   mux.NewScheduler(mux.SchedConfig{Workers: 4}),
-		servers: append([]string(nil), servers...),
-	}
+		Sched: mux.SchedConfig{Workers: 4},
+		NewConn: func() (mux.Handler, func()) {
+			return d.handle, nil
+		},
+	})
+	return d
 }
 
 // AddServer registers another data server with the daemon.
@@ -137,44 +140,23 @@ func (d *Daemon) Serve(addr string) error {
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.l = l
-	d.mu.Unlock()
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go d.serveConn(c)
-		}
-	}()
+	go d.face.Serve(l)
 	return nil
 }
 
-// Stop closes the daemon's listener and drains its dispatch scheduler.
-func (d *Daemon) Stop() {
-	d.mu.Lock()
-	l := d.l
-	d.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	d.sched.Close()
-}
+// Stop closes the daemon's listener and connections and drains its
+// dispatch scheduler.
+func (d *Daemon) Stop() { d.face.Close() }
 
-func (d *Daemon) serveConn(c transport.Conn) {
-	defer c.Close()
-	mux.Serve(c, func(m proto.Message, _ mux.Responder) proto.Message {
-		switch q := m.(type) {
-		case proto.List:
-			return proto.ListOK{Entries: d.List(q.Prefix)}
-		case proto.Ping:
-			return proto.Pong{}
-		default:
-			return proto.Err{Code: proto.EInval, Msg: "nsd: expected list"}
-		}
-	}, mux.ServeOptions{Sched: d.sched})
+func (d *Daemon) handle(m proto.Message, _ mux.Responder) proto.Message {
+	switch q := m.(type) {
+	case proto.List:
+		return proto.ListOK{Entries: d.List(q.Prefix)}
+	case proto.Ping:
+		return proto.Pong{}
+	default:
+		return proto.Err{Code: proto.EInval, Msg: "nsd: expected list"}
+	}
 }
 
 // Tree renders the merged namespace under prefix as an indented tree,

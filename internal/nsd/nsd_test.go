@@ -138,3 +138,28 @@ func TestTreeRendering(t *testing.T) {
 		t.Errorf("offline marker missing: %q", tree)
 	}
 }
+
+// TestStopDropsConnections: after Stop a client's open connection
+// reads EOF instead of being answered.
+func TestStopDropsConnections(t *testing.T) {
+	net := transport.NewInProc(transport.InProcConfig{})
+	d := New(net)
+	if err := d.Serve("nsd"); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("nsd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Send(proto.Marshal(proto.Ping{}))
+	if _, err := c.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	d.Stop()
+	c.Send(proto.Marshal(proto.Ping{}))
+	if frame, err := c.Recv(); err == nil {
+		m, _ := proto.Unmarshal(frame)
+		t.Fatalf("stopped daemon answered %#v; want the link dropped", m)
+	}
+}

@@ -5,13 +5,14 @@ import (
 	"runtime"
 	"testing"
 
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 )
 
 // allocRig builds a proxy over a live origin with one fully cached
 // 256 KiB file, then measures the hit path alone — the downstream
 // network is bypassed exactly as in the xrd read-path alloc test.
-func allocRig(tb testing.TB) (*Proxy, uint64) {
+func allocRig(tb testing.TB) (*Proxy, *phandle, uint64) {
 	tb.Helper()
 	o := startOrigin(tb, 1)
 	data := payload(42, 256<<10)
@@ -26,17 +27,26 @@ func allocRig(tb testing.TB) (*Proxy, uint64) {
 	tb.Cleanup(p.Close)
 	// Bind a read handle and make every block resident without a
 	// downstream connection: drive dispatch directly.
-	reply, fh := p.open(proto.Open{Path: "/big"})
-	if _, okr := reply.(proto.OpenOK); !okr {
-		tb.Fatalf("open: %#v", reply)
-	}
-	h := p.handleFor(fh)
+	h, fh := openHandle(tb, p, mux.NewHandles[*phandle](&p.fhs), "/big")
 	for off := int64(0); off < int64(len(data)); off += int64(p.cfg.BlockSize) {
 		if msg := p.fill(h, proto.Read{FH: fh, Off: off, N: uint32(p.cfg.BlockSize)}); msg != nil {
 			tb.Fatalf("fill at %d: %#v", off, msg)
 		}
 	}
-	return p, fh
+	return p, h, fh
+}
+
+// openHandle opens path for reading on table fhs, bypassing the
+// downstream network, and returns the bound handle.
+func openHandle(tb testing.TB, p *Proxy, fhs *handles, path string) (*phandle, uint64) {
+	tb.Helper()
+	reply := p.open(fhs, proto.Open{Path: path})
+	ok, isOK := reply.(proto.OpenOK)
+	if !isOK {
+		tb.Fatalf("open %s: %#v", path, reply)
+	}
+	h, _ := fhs.Lookup(ok.FH)
+	return h, ok.FH
 }
 
 // TestProxyHitPathAllocsNothing pins the proxy's block-cache hit path:
@@ -48,16 +58,16 @@ func TestProxyHitPathAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops pooled frames at random; the un-raced run is the gate")
 	}
-	p, fh := allocRig(t)
+	p, h, fh := allocRig(t)
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
 	// Warm the frame pool outside the measurement.
-	if f, _, ok := p.readFrame(read, 7); !ok {
+	if f, _, ok := p.readFrame(h, read, 7); !ok {
 		t.Fatal("warmup read missed the cache")
 	} else {
 		f.Release()
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		f, _, ok := p.readFrame(read, 7)
+		f, _, ok := p.readFrame(h, read, 7)
 		if !ok {
 			t.Fatal("read missed the cache")
 		}
@@ -93,18 +103,14 @@ func TestProxyFillAdoptsFrame(t *testing.T) {
 		OriginReadahead: 1,
 	})
 	t.Cleanup(p.Close)
-	reply, fh := p.open(proto.Open{Path: "/miss"})
-	if _, ok := reply.(proto.OpenOK); !ok {
-		t.Fatalf("open: %#v", reply)
-	}
-	h := p.handleFor(fh)
+	h, fh := openHandle(t, p, mux.NewHandles[*phandle](&p.fhs), "/miss")
 	bs := int64(p.cfg.BlockSize)
 	fillAndRead := func(i int) []byte {
 		read := proto.Read{FH: fh, Off: int64(i%blocks) * bs, N: uint32(bs)}
 		if msg := p.fill(h, read); msg != nil {
 			t.Fatalf("fill at %d: %#v", read.Off, msg)
 		}
-		f, n, ok := p.readFrame(read, 7)
+		f, n, ok := p.readFrame(h, read, 7)
 		if !ok || n != int(bs) {
 			t.Fatalf("fill at %d left no resident block (ok=%v n=%d)", read.Off, ok, n)
 		}
@@ -142,13 +148,13 @@ func TestProxyFillAdoptsFrame(t *testing.T) {
 // 64 KiB hit; ReportAllocs documents the 0 allocs/op claim in CI bench
 // runs alongside the xrd read path.
 func BenchmarkProxyReadHit(b *testing.B) {
-	p, fh := allocRig(b)
+	p, h, fh := allocRig(b)
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
 	b.ReportAllocs()
 	b.SetBytes(64 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _, ok := p.readFrame(read, 7)
+		f, _, ok := p.readFrame(h, read, 7)
 		if !ok {
 			b.Fatal("read missed the cache")
 		}

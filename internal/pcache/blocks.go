@@ -70,20 +70,14 @@ func (e *entry) stale(p *Proxy) bool {
 
 // readFrame serves a Read from resident blocks into a pooled frame: a
 // map probe, a memcpy under the cache lock, and an LRU splice — no
-// allocation once the frame pool is warm. It reports false when the
-// handle is not a live cached read handle or the block is absent; the
-// caller fills and retries. Reads crossing a block boundary return the
-// in-block prefix (short reads are legal downstream).
-func (p *Proxy) readFrame(m proto.Read, stream uint32) (*proto.Frame, int, bool) {
-	p.hmu.Lock()
-	h := p.handles[m.FH]
-	p.hmu.Unlock()
-	if h == nil || h.ent == nil {
-		return nil, 0, false
-	}
+// allocation once the frame pool is warm. It reports false when h is
+// not bound to a live entry or the block is absent; the caller fills
+// and retries. Reads crossing a block boundary return the in-block
+// prefix (short reads are legal downstream).
+func (p *Proxy) readFrame(h *phandle, m proto.Read, stream uint32) (*proto.Frame, int, bool) {
 	p.bmu.Lock()
 	ent := h.ent
-	if ent.dead || ent.stale(p) {
+	if ent == nil || ent.dead || ent.stale(p) {
 		p.bmu.Unlock()
 		return nil, 0, false
 	}
@@ -127,18 +121,17 @@ func (p *Proxy) readFrame(m proto.Read, stream uint32) (*proto.Frame, int, bool)
 // kicks the readahead window. A nil return means "retry the cache"; a
 // non-nil message is the downstream reply (error or staging wait).
 func (p *Proxy) fill(h *phandle, m proto.Read) proto.Message {
-	p.hmu.Lock()
+	p.bmu.Lock()
 	ent := h.ent
-	path := h.path
-	p.hmu.Unlock()
+	p.bmu.Unlock()
 	if ent == nil || p.entryDead(ent) {
-		newEnt, msg := p.resolveEntry(path)
+		newEnt, msg := p.resolveEntry(h.path)
 		if msg != nil {
 			return msg
 		}
-		p.hmu.Lock()
+		p.bmu.Lock()
 		h.ent = newEnt
-		p.hmu.Unlock()
+		p.bmu.Unlock()
 		ent = newEnt
 	}
 	if m.Off >= ent.size {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 )
 
@@ -54,6 +55,7 @@ func TestDetsimProxyEpochInvariant(t *testing.T) {
 	const servers = 3
 	o := startOrigin(t, servers)
 	p, cl := startProxy(t, o, Config{})
+	fhs := mux.NewHandles[*phandle](&p.fhs)
 
 	const path = "/store/epoch.root"
 	const size = 96 << 10
@@ -77,10 +79,7 @@ func TestDetsimProxyEpochInvariant(t *testing.T) {
 		}
 
 		// Bind a handle against the current (soon-to-be-stale) epoch.
-		reply, fh := p.open(proto.Open{Path: path})
-		if _, ok := reply.(proto.OpenOK); !ok {
-			t.Fatalf("seed %d round %d: open: %#v", seed, round, reply)
-		}
+		h, fh := openHandle(t, p, fhs, path)
 
 		// Mutate behind the proxy's back: new generation, possibly on a
 		// different server, then advance the old holder's epoch.
@@ -98,12 +97,12 @@ func TestDetsimProxyEpochInvariant(t *testing.T) {
 
 		// Invariant, direct form: the pre-epoch handle must refuse the
 		// cache. A hit here would be pre-epoch bytes escaping.
-		if f, n, ok := p.readFrame(proto.Read{FH: fh, Off: 0, N: 4096}, 1); ok {
+		if f, n, ok := p.readFrame(h, proto.Read{FH: fh, Off: 0, N: 4096}, 1); ok {
 			f.Release()
 			t.Fatalf("seed %d round %d: hit path served %d bytes through a binding "+
 				"whose slot epoch advanced", seed, round, n)
 		}
-		p.dropHandle(fh)
+		fhs.Drop(fh)
 		cur = next
 	}
 

@@ -119,8 +119,8 @@ func (p *Proxy) Stats() Stats {
 
 // Frame assembles the proxy's summary-monitoring frame: the pcache
 // section, the underlying location-cache section (same shape as a
-// manager's), and transport counters when running over a counting
-// network.
+// manager's, per-shard entries included), and transport counters when
+// running over a counting network.
 func (p *Proxy) Frame() obs.Frame {
 	f := obs.Frame{Node: p.cfg.Name, Role: "pcache"}
 	s := p.Stats()
@@ -142,29 +142,9 @@ func (p *Proxy) Frame() obs.Frame {
 		ExpiredWindow: s.ExpiredWindow,
 		Invalidated:   s.Invalidated,
 	}
-	cs := p.loc.Stats()
-	lf := 0.0
-	if cs.Buckets > 0 {
-		lf = float64(cs.Entries) / float64(cs.Buckets)
-	}
-	conn := p.loc.ConnStamps()
-	f.Cache = &obs.CacheSummary{
-		Entries: cs.Entries, Buckets: cs.Buckets, LoadFactor: lf,
-		Inserts: cs.Inserts, Hits: cs.Hits, Misses: cs.Misses,
-		Resizes: cs.Resizes, Hidden: cs.Hidden, Swept: cs.Swept,
-		Refreshes: cs.Refreshes,
-		Ticks:     p.loc.TickCount(),
-		Epoch:     p.loc.Epoch(),
-		Conn:      obs.TrimConn(conn[:]),
-	}
-	f.Sched = p.sched.Summary()
-	if cn, ok := p.cfg.Net.(*transport.CountingNetwork); ok {
-		ns := cn.Stats()
-		f.Net = &obs.NetSummary{FramesSent: ns.FramesSent, BytesSent: ns.BytesSent, Dials: ns.Dials}
-	}
-	if w, ok := transport.WireOf(p.cfg.Net); ok {
-		f.Wire = w.Summary()
-	}
+	f.Cache = p.loc.Summary()
+	f.Sched = p.face.Sched().Summary()
+	f.Net, f.Wire = transport.Summaries(p.cfg.Net)
 	return f
 }
 

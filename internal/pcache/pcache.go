@@ -144,9 +144,10 @@ func (c Config) withDefaults() Config {
 type Proxy struct {
 	cfg Config
 
-	up    *client.Client // origin control plane: walks, refreshes, writes
-	pool  *mux.Pool      // origin data servers: opens and block fills
-	sched *mux.Scheduler // downstream face dispatch
+	up   *client.Client  // origin control plane: walks, refreshes, writes
+	pool *mux.Pool       // origin data servers: opens and block fills
+	face *mux.Face       // downstream face
+	fhs  mux.HandleSpace // numbers and counts every connection's handles
 
 	loc *cache.Cache // location answers, keyed by origin-server slots
 
@@ -175,16 +176,8 @@ type Proxy struct {
 	blockBytes int64
 	nblocks    int
 
-	// Downstream handle table.
-	hmu     sync.Mutex
-	handles map[uint64]*phandle
-	nextFH  uint64
-
 	st stats
 
-	lis    transport.Listener
-	cmu    sync.Mutex
-	conns  map[transport.Conn]struct{}
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -195,9 +188,12 @@ type Proxy struct {
 // upstream client File.
 type phandle struct {
 	path string
-	ent  *entry       // read path; re-bound by fill when it goes stale
+	ent  *entry       // read path, under Proxy.bmu; re-bound by fill when it goes stale
 	pass *client.File // write/create path; nil for cached handles
 }
+
+// handles is one downstream connection's handle table.
+type handles = mux.Handles[*phandle]
 
 // New constructs a Proxy without starting its listener; most callers
 // want Start.
@@ -217,23 +213,27 @@ func New(cfg Config) *Proxy {
 			MaxInFlight: cfg.MaxInFlight,
 			Clock:       cfg.Clock,
 		}),
-		sched: mux.NewScheduler(mux.SchedConfig{
-			Workers:          cfg.Workers,
-			QueueLimit:       cfg.DispatchQueue,
-			RetryAfterMillis: cfg.RetryAfterMillis,
-			Seed:             cfg.SchedSeed,
-			Clock:            cfg.Clock,
-		}),
 		loc: cache.New(cache.Config{
 			Lifetime: cfg.LocLifetime,
 			Clock:    cfg.Clock,
 		}),
 		slotOf:  make(map[string]int),
 		entries: make(map[string]*entry),
-		handles: make(map[uint64]*phandle),
-		conns:   make(map[transport.Conn]struct{}),
 		stop:    make(chan struct{}),
 	}
+	p.face = mux.NewFace(mux.FaceConfig{
+		Name: "pcache",
+		Sched: mux.SchedConfig{
+			Workers:          cfg.Workers,
+			QueueLimit:       cfg.DispatchQueue,
+			RetryAfterMillis: cfg.RetryAfterMillis,
+			Seed:             cfg.SchedSeed,
+			Clock:            cfg.Clock,
+		},
+		Tracer:  cfg.Tracer,
+		Logf:    cfg.Logf,
+		NewConn: p.serveConn,
+	})
 	return p
 }
 
@@ -244,9 +244,7 @@ func (p *Proxy) Start() error {
 	if err != nil {
 		return fmt.Errorf("pcache: listen %s: %w", p.cfg.Addr, err)
 	}
-	p.lis = l
-	p.wg.Add(1)
-	go p.acceptLoop(l)
+	go p.face.Serve(l) // returns once Close closes the face
 	p.wg.Add(1)
 	go p.tickLoop()
 	if p.cfg.Summary != nil {
@@ -274,35 +272,10 @@ func (p *Proxy) Close() {
 		return
 	}
 	close(p.stop)
-	if p.lis != nil {
-		p.lis.Close()
-	}
-	p.cmu.Lock()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.cmu.Unlock()
-	// Connections are dead; now the scheduler can drain its in-flight
-	// handlers without any of them wedging on a reply send.
-	p.sched.Close()
+	p.face.Close()
 	p.pool.Close()
 	p.up.Close()
 	p.wg.Wait()
-}
-
-func (p *Proxy) acceptLoop(l transport.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		p.cmu.Lock()
-		p.conns[conn] = struct{}{}
-		p.cmu.Unlock()
-		p.wg.Add(1)
-		go p.handleConn(conn)
-	}
 }
 
 // tickLoop drives the two window clocks: the location cache's sweep
@@ -334,75 +307,49 @@ func (p *Proxy) tickLoop() {
 	}
 }
 
-func (p *Proxy) handleConn(conn transport.Conn) {
-	defer p.wg.Done()
-	defer func() {
-		p.cmu.Lock()
-		delete(p.conns, conn)
-		p.cmu.Unlock()
-		conn.Close()
-	}()
-	// Handles are per-connection: a dropped client leaks nothing, and
-	// its pass-through upstream files are closed with it.
-	var mineMu sync.Mutex
-	var mine []uint64
-	defer func() {
-		mineMu.Lock()
-		fhs := mine
-		mineMu.Unlock()
-		for _, fh := range fhs {
-			p.dropHandle(fh)
+// serveConn builds one downstream connection's handler over its own
+// handle table. When the connection goes its handles are dropped and
+// its pass-through upstream files closed.
+func (p *Proxy) serveConn() (mux.Handler, func()) {
+	fhs := mux.NewHandles[*phandle](&p.fhs)
+	return func(msg proto.Message, r mux.Responder) proto.Message {
+			return p.dispatch(fhs, msg, r)
+		}, func() {
+			for _, h := range fhs.DropAll() {
+				h.closePass()
+			}
 		}
-	}()
-	mux.Serve(conn, func(msg proto.Message, r mux.Responder) proto.Message {
-		if p.closed.Load() {
-			return nil
-		}
-		reply, opened := p.dispatch(msg, r)
-		if opened != 0 {
-			mineMu.Lock()
-			mine = append(mine, opened)
-			mineMu.Unlock()
-		}
-		return reply
-	}, mux.ServeOptions{
-		Sched:  p.sched,
-		Tracer: p.cfg.Tracer,
-		OnError: func(err error) {
-			p.cfg.Logf("pcache: bad frame from %s: %v", conn.RemoteAddr(), err)
-		},
-	})
 }
 
-// dispatch handles one downstream request, returning the reply and,
-// for successful opens, the issued handle. Cached reads reply through
-// the responder's single-copy frame path and return nil.
-func (p *Proxy) dispatch(msg proto.Message, r mux.Responder) (reply proto.Message, opened uint64) {
+// dispatch handles one downstream request on a connection with handle
+// table fhs. Cached reads reply through the responder's single-copy
+// frame path and return nil.
+func (p *Proxy) dispatch(fhs *handles, msg proto.Message, r mux.Responder) proto.Message {
 	switch m := msg.(type) {
 	case proto.Open:
-		return p.open(m)
+		return p.open(fhs, m)
 	case proto.Read:
-		return p.read(m, r), 0
+		return p.read(fhs, m, r)
 	case proto.Write:
-		return p.write(m), 0
+		return p.write(fhs, m)
 	case proto.Trunc:
-		return p.trunc(m), 0
+		return p.trunc(fhs, m)
 	case proto.Close:
-		return p.closeHandle(m), 0
+		return p.closeHandle(fhs, m)
 	case proto.Stat:
-		return p.stat(m), 0
+		return p.stat(m)
 	case proto.Locate:
-		return p.locateDown(m), 0
+		return p.locateDown(m)
 	case proto.Unlink:
-		return p.unlink(m), 0
+		return p.unlink(m)
 	case proto.Prepare:
-		return p.prepare(m), 0
+		return p.prepare(m)
 	case proto.Ping:
-		return proto.Pong{}, 0
+		return proto.Pong{}
 	case proto.List:
-		return proto.Err{Code: proto.EInval, Msg: "pcache: listings are not proxied"}, 0
+		return proto.Err{Code: proto.EInval, Msg: "pcache: listings are not proxied"}
 	default:
-		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}, 0
+		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}
 	}
 }
 
@@ -410,7 +357,7 @@ func (p *Proxy) dispatch(msg proto.Message, r mux.Responder) (reply proto.Messag
 // on a hit no frame reaches the origin at all; write and create opens
 // pass through to the origin via the upstream client, invalidating any
 // cached state for the path.
-func (p *Proxy) open(m proto.Open) (proto.Message, uint64) {
+func (p *Proxy) open(fhs *handles, m proto.Open) proto.Message {
 	outcome := "error"
 	sp := p.cfg.Tracer.Start("pcache.open", m.Path)
 	defer func() { sp.End(outcome) }()
@@ -423,53 +370,49 @@ func (p *Proxy) open(m proto.Open) (proto.Message, uint64) {
 			f, err = p.up.OpenWrite(m.Path)
 		}
 		if err != nil {
-			return errReply(err), 0
+			return errReply(err)
 		}
 		p.invalidatePath(m.Path)
 		outcome = "write-through"
-		fh := p.issueHandle(&phandle{path: m.Path, pass: f})
-		return proto.OpenOK{FH: fh, Size: f.Size()}, fh
+		fh := fhs.Issue(&phandle{path: m.Path, pass: f})
+		return proto.OpenOK{FH: fh, Size: f.Size()}
 	}
 	if ent := p.liveEntry(m.Path); ent != nil {
 		p.st.openHits.Add(1)
 		outcome = "hit " + ent.addr
-		fh := p.issueHandle(&phandle{path: m.Path, ent: ent})
-		return proto.OpenOK{FH: fh, Size: ent.size}, fh
+		return proto.OpenOK{FH: fhs.Issue(&phandle{path: m.Path, ent: ent}), Size: ent.size}
 	}
 	p.st.openMisses.Add(1)
 	ent, msg := p.resolveEntry(m.Path)
 	if msg != nil {
-		return msg, 0
+		return msg
 	}
 	outcome = "miss " + ent.addr
-	fh := p.issueHandle(&phandle{path: m.Path, ent: ent})
-	return proto.OpenOK{FH: fh, Size: ent.size}, fh
+	return proto.OpenOK{FH: fhs.Issue(&phandle{path: m.Path, ent: ent}), Size: ent.size}
 }
 
 // read answers a downstream Read: from the block cache when resident,
 // otherwise filling the containing block (and a readahead window of
 // followers) from origin first. Pass-through handles read via the
 // upstream File.
-func (p *Proxy) read(m proto.Read, r mux.Responder) proto.Message {
-	h := p.handleFor(m.FH)
-	if h == nil {
+func (p *Proxy) read(fhs *handles, m proto.Read, r mux.Responder) proto.Message {
+	h, ok := fhs.Lookup(m.FH)
+	if !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
 	if h.pass != nil {
-		return p.readThrough(h, m, r)
+		return p.readThrough(h.pass, m, r)
 	}
 	// First pass over the cache is the hot path; each fill attempt
 	// re-resolves a stale entry, so two rounds cover "block absent" and
 	// "entry went stale under us".
 	for attempt := 0; attempt < 3; attempt++ {
-		if f, n, ok := p.readFrame(m, r.Stream()); ok {
+		if f, n, ok := p.readFrame(h, m, r.Stream()); ok {
 			if attempt == 0 {
 				p.st.hits.Add(1)
 			}
 			p.st.bytesServed.Add(int64(n))
-			if err := r.SendFrame(f); err != nil {
-				return nil
-			}
+			r.SendFrame(f)
 			return nil
 		}
 		if attempt == 0 {
@@ -479,19 +422,27 @@ func (p *Proxy) read(m proto.Read, r mux.Responder) proto.Message {
 			return msg
 		}
 	}
-	return proto.Err{Code: proto.EIO, Msg: "pcache: block fill did not converge"}
+	// Churn (eviction by concurrent fills, window expiry, invalidation)
+	// took the block every time before it could be served. The file is
+	// fine: read the range straight from origin instead.
+	f, err := p.up.Open(h.path)
+	if err != nil {
+		return errReply(err)
+	}
+	defer f.Close()
+	return p.readThrough(f, m, r)
 }
 
-// readThrough serves a Read on a pass-through (write-side) handle by
-// delegating to the upstream File, still single-copy into a pooled
-// frame.
-func (p *Proxy) readThrough(h *phandle, m proto.Read, r mux.Responder) proto.Message {
+// readThrough serves a Read through an upstream File — a pass-through
+// (write-side) handle's, or a fresh one when the cache cannot hold the
+// block — still single-copy into a pooled frame.
+func (p *Proxy) readThrough(up *client.File, m proto.Read, r mux.Responder) proto.Message {
 	n := int(m.N)
 	if max := transport.MaxFrame / 2; n > max {
 		n = max
 	}
 	f, dst := proto.StartDataFrame(r.Stream(), m.FH, n)
-	got, err := h.pass.ReadAt(dst, m.Off)
+	got, err := up.ReadAt(dst, m.Off)
 	if err != nil && err != io.EOF {
 		f.Release()
 		return errReply(err)
@@ -504,9 +455,9 @@ func (p *Proxy) readThrough(h *phandle, m proto.Read, r mux.Responder) proto.Mes
 
 // write forwards a downstream Write through the pass-through handle
 // and keeps the block cache honest by invalidating the path.
-func (p *Proxy) write(m proto.Write) proto.Message {
-	h := p.handleFor(m.FH)
-	if h == nil {
+func (p *Proxy) write(fhs *handles, m proto.Write) proto.Message {
+	h, ok := fhs.Lookup(m.FH)
+	if !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
 	if h.pass == nil {
@@ -520,9 +471,9 @@ func (p *Proxy) write(m proto.Write) proto.Message {
 	return proto.WriteOK{FH: m.FH, N: uint32(n)}
 }
 
-func (p *Proxy) trunc(m proto.Trunc) proto.Message {
-	h := p.handleFor(m.FH)
-	if h == nil {
+func (p *Proxy) trunc(fhs *handles, m proto.Trunc) proto.Message {
+	h, ok := fhs.Lookup(m.FH)
+	if !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
 	if h.pass == nil {
@@ -535,9 +486,18 @@ func (p *Proxy) trunc(m proto.Trunc) proto.Message {
 	return proto.TruncOK{FH: m.FH}
 }
 
-func (p *Proxy) closeHandle(m proto.Close) proto.Message {
-	p.dropHandle(m.FH)
+func (p *Proxy) closeHandle(fhs *handles, m proto.Close) proto.Message {
+	if h, ok := fhs.Drop(m.FH); ok {
+		h.closePass()
+	}
 	return proto.CloseOK{FH: m.FH}
+}
+
+// closePass closes a pass-through handle's upstream file.
+func (h *phandle) closePass() {
+	if h.pass != nil {
+		h.pass.Close()
+	}
 }
 
 // stat answers from the cached entry when one is live (no origin
@@ -605,34 +565,6 @@ func (p *Proxy) prepare(m proto.Prepare) proto.Message {
 		return errReply(err)
 	}
 	return proto.PrepareOK{Queued: uint32(len(m.Paths))}
-}
-
-// ------------------------------------------------------------ handles
-
-func (p *Proxy) issueHandle(h *phandle) uint64 {
-	p.hmu.Lock()
-	p.nextFH++
-	fh := p.nextFH
-	p.handles[fh] = h
-	p.hmu.Unlock()
-	return fh
-}
-
-func (p *Proxy) handleFor(fh uint64) *phandle {
-	p.hmu.Lock()
-	h := p.handles[fh]
-	p.hmu.Unlock()
-	return h
-}
-
-func (p *Proxy) dropHandle(fh uint64) {
-	p.hmu.Lock()
-	h := p.handles[fh]
-	delete(p.handles, fh)
-	p.hmu.Unlock()
-	if h != nil && h.pass != nil {
-		h.pass.Close()
-	}
 }
 
 // errReply maps an upstream client error onto the downstream protocol.

@@ -12,6 +12,7 @@ import (
 	"scalla/internal/cache"
 	"scalla/internal/client"
 	"scalla/internal/cmsd"
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 	"scalla/internal/respq"
 	"scalla/internal/store"
@@ -414,7 +415,7 @@ func TestProxyFrameAndAdmin(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := p.Frame()
-	if fr.PCache == nil || fr.Cache == nil {
+	if fr.PCache == nil || fr.Cache == nil || len(fr.Cache.ShardEntries) == 0 {
 		t.Fatalf("frame missing sections: %+v", fr)
 	}
 	if fr.PCache.Hits+fr.PCache.Misses == 0 {
@@ -439,7 +440,8 @@ func TestProxyFrameAndAdmin(t *testing.T) {
 // bytes, so every file keeps its payload). A frame released twice, or
 // released while its block is still resident, is handed out again and
 // overwritten by another block's or reply's bytes; the readers then
-// see bytes that differ from the payload. Run it under -race.
+// see bytes that differ from the payload, and a read that fails for
+// any reason fails the test. Run it under -race.
 func TestProxyRecycledFramesServeRightBytes(t *testing.T) {
 	const (
 		files  = 6
@@ -457,7 +459,10 @@ func TestProxyRecycledFramesServeRightBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, cl := startProxy(t, o, Config{CacheBytes: 6 * DefaultBlockSize, OriginReadahead: 2})
+	// Four blocks of cache under four readers and the default readahead
+	// of four: a freshly filled block is often evicted before its reader
+	// gets to it, which must cost an origin read, never an error.
+	p, cl := startProxy(t, o, Config{CacheBytes: 4 * DefaultBlockSize, OriginReadahead: 4})
 
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
@@ -511,30 +516,19 @@ func TestProxyRecycledFramesServeRightBytes(t *testing.T) {
 				want := bodies[fi]
 				off := rng.Int63n(size)
 				n := 1 + rng.Intn(len(buf))
-				// Under this much churn a read may exhaust the proxy's
-				// bounded fill retries; it is tried again, but wrong
-				// bytes fail at once.
-				var err error
-				for try := 0; try < 3; try++ {
-					var f *client.File
-					if f, err = cl.Open(paths[fi]); err != nil {
-						continue
-					}
-					var got int
-					got, err = f.ReadAt(buf[:n], off)
-					f.Close()
-					if err != nil && err != io.EOF {
-						continue
-					}
-					if got == 0 || !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
-						t.Errorf("reader %d: %s at %d served %d wrong bytes", r, paths[fi], off, got)
-						return
-					}
-					err = nil
-					break
-				}
+				f, err := cl.Open(paths[fi])
 				if err != nil {
+					t.Errorf("reader %d: open %s: %v", r, paths[fi], err)
+					return
+				}
+				got, err := f.ReadAt(buf[:n], off)
+				f.Close()
+				if err != nil && err != io.EOF {
 					t.Errorf("reader %d: read %s at %d: %v", r, paths[fi], off, err)
+					return
+				}
+				if got == 0 || !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
+					t.Errorf("reader %d: %s at %d served %d wrong bytes", r, paths[fi], off, got)
 					return
 				}
 			}
@@ -547,5 +541,113 @@ func TestProxyRecycledFramesServeRightBytes(t *testing.T) {
 	s := p.Stats()
 	if s.EvictedLRU == 0 || s.ExpiredWindow == 0 || s.Invalidated == 0 {
 		t.Fatalf("schedule went vacuous, every drop path must run: %+v", s)
+	}
+}
+
+// dialProxy opens a raw multiplexed downstream connection to p.
+func dialProxy(t *testing.T, o *origin, p *Proxy) *mux.Conn {
+	t.Helper()
+	mc, err := mux.Dial(o.net, p.cfg.Addr, mux.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mc.Close() })
+	return mc
+}
+
+// TestProxyOpenCloseLeavesNoHandles: 10 000 opens and closes on one
+// downstream connection leave its handle table empty while it is still
+// open.
+func TestProxyOpenCloseLeavesNoHandles(t *testing.T) {
+	o := startOrigin(t, 1)
+	if err := o.stores[0].Put("/store/h.root", payload(11, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := startProxy(t, o, Config{})
+	mc := dialProxy(t, o, p)
+	for i := 0; i < 10000; i++ {
+		reply, err := mc.Call(proto.Open{Path: "/store/h.root"}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, isOK := reply.(proto.OpenOK)
+		if !isOK {
+			t.Fatalf("open %d: %#v", i, reply)
+		}
+		if reply, err := mc.Call(proto.Close{FH: ok.FH}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		} else if _, isOK := reply.(proto.CloseOK); !isOK {
+			t.Fatalf("close %d: %#v", i, reply)
+		}
+	}
+	if n := p.fhs.Open(); n != 0 {
+		t.Fatalf("connection's handle table holds %d handles after every close", n)
+	}
+}
+
+// TestProxyPipelinedReadsDuringRebind pipelines reads on one handle
+// while InvalidateOrigin keeps dropping the entry it is bound to, so
+// concurrent fills rebind the handle as concurrent hits read it. Every
+// reply must carry the file's bytes. Run it under -race.
+func TestProxyPipelinedReadsDuringRebind(t *testing.T) {
+	const size = 4 * DefaultBlockSize
+	o := startOrigin(t, 1)
+	want := payload(12, size)
+	if err := o.stores[0].Put("/store/r.root", want); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := startProxy(t, o, Config{})
+	mc := dialProxy(t, o, p)
+	reply, err := mc.Call(proto.Open{Path: "/store/r.root"}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, ok := reply.(proto.OpenOK)
+	if !ok {
+		t.Fatalf("open: %#v", reply)
+	}
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+				p.InvalidateOrigin(o.srvs[0].DataAddr())
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		calls := make([]*mux.Call, 8)
+		offs := make([]int64, len(calls))
+		for i := range calls {
+			offs[i] = rng.Int63n(size)
+			if calls[i], err = mc.Start(proto.Read{FH: open.FH, Off: offs[i], N: 16 << 10}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, c := range calls {
+			reply, err := c.Wait(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, ok := reply.(proto.Data)
+			if !ok {
+				t.Fatalf("read at %d: %#v", offs[i], reply)
+			}
+			if len(d.Bytes) == 0 || !bytes.Equal(d.Bytes, want[offs[i]:offs[i]+int64(len(d.Bytes))]) {
+				t.Fatalf("read at %d served %d wrong bytes", offs[i], len(d.Bytes))
+			}
+		}
+	}
+	close(stop)
+	churn.Wait()
+	if s := p.Stats(); s.Invalidated == 0 {
+		t.Fatalf("no entry was invalidated under the readers: %+v", s)
 	}
 }

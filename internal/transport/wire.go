@@ -191,3 +191,19 @@ func WireOf(net Network) (WireSnapshot, bool) {
 		}
 	}
 }
+
+// Summaries renders the transport sections of a daemon's summary frame:
+// frame and byte totals when net is a CountingNetwork, wire batching
+// when it is TCP-backed. Either is nil when net cannot report it.
+func Summaries(net Network) (*obs.NetSummary, *obs.WireSummary) {
+	var ns *obs.NetSummary
+	if cn, ok := net.(*CountingNetwork); ok {
+		s := cn.Stats()
+		ns = &obs.NetSummary{FramesSent: s.FramesSent, BytesSent: s.BytesSent, Dials: s.Dials}
+	}
+	var ws *obs.WireSummary
+	if w, ok := WireOf(net); ok {
+		ws = w.Summary()
+	}
+	return ns, ws
+}

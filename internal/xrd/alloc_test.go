@@ -3,20 +3,21 @@ package xrd
 import (
 	"testing"
 
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 	"scalla/internal/store"
 )
 
 // allocRig builds a server with one open 1 MiB file, bypassing the
 // network so the measurement isolates the read path itself.
-func allocRig(tb testing.TB) (*Server, uint64) {
+func allocRig(tb testing.TB) (*Server, *handles, uint64) {
 	tb.Helper()
 	return allocRigStore(tb, store.New(store.Config{}))
 }
 
 // diskAllocRig is allocRig over the disk backend: the same measurement
 // with the payload coming out of the kernel page cache via pread.
-func diskAllocRig(tb testing.TB) (*Server, uint64) {
+func diskAllocRig(tb testing.TB) (*Server, *handles, uint64) {
 	tb.Helper()
 	st, err := store.Open(store.Config{Root: tb.TempDir() + "/data", Fsync: store.FsyncNever})
 	if err != nil {
@@ -26,7 +27,7 @@ func diskAllocRig(tb testing.TB) (*Server, uint64) {
 	return allocRigStore(tb, st)
 }
 
-func allocRigStore(tb testing.TB, st *store.Store) (*Server, uint64) {
+func allocRigStore(tb testing.TB, st *store.Store) (*Server, *handles, uint64) {
 	tb.Helper()
 	data := make([]byte, 1<<20)
 	for i := range data {
@@ -36,11 +37,13 @@ func allocRigStore(tb testing.TB, st *store.Store) (*Server, uint64) {
 		tb.Fatal(err)
 	}
 	srv := New(Config{Store: st})
-	reply, fh := srv.issueMsg("/big", false, int64(len(data)))
-	if _, ok := reply.(proto.OpenOK); !ok {
+	fhs := mux.NewHandles[*handle](&srv.fhs)
+	reply := srv.issue(fhs, "/big", false, int64(len(data)))
+	ok, isOK := reply.(proto.OpenOK)
+	if !isOK {
 		tb.Fatalf("open: %#v", reply)
 	}
-	return srv, fh
+	return srv, fhs, ok.FH
 }
 
 // TestReadFrameAllocsNothing pins the single-copy read path: after the
@@ -51,16 +54,16 @@ func TestReadFrameAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops pooled frames at random; the un-raced run is the gate")
 	}
-	srv, fh := allocRig(t)
+	srv, fhs, fh := allocRig(t)
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
 	// Warm the frame pool outside the measurement.
-	if f, bad := srv.readFrame(read, 7); bad != nil {
+	if f, bad := srv.readFrame(fhs, read, 7); bad != nil {
 		t.Fatalf("warmup read failed: %#v", bad)
 	} else {
 		f.Release()
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		f, bad := srv.readFrame(read, 7)
+		f, bad := srv.readFrame(fhs, read, 7)
 		if bad != nil {
 			t.Fatalf("read failed: %#v", bad)
 		}
@@ -84,11 +87,12 @@ func TestInlineOpenAllocsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(Config{Store: st})
+	fhs := mux.NewHandles[*handle](&srv.fhs)
 	open := proto.Open{Path: "/small", Inline: true}
 	avg := testing.AllocsPerRun(100, func() {
-		reply, f, fh := srv.open(open, 7)
-		if f == nil || reply != nil || fh != 0 {
-			t.Fatalf("inline open = %#v, frame %v, handle %d", reply, f, fh)
+		reply, f := srv.open(fhs, open, 7)
+		if f == nil || reply != nil || srv.Handles() != 0 {
+			t.Fatalf("inline open = %#v, frame %v, %d handles", reply, f, srv.Handles())
 		}
 		f.Release()
 	})
@@ -108,15 +112,15 @@ func TestDiskReadFrameAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race sync.Pool drops pooled frames at random; the un-raced run is the gate")
 	}
-	srv, fh := diskAllocRig(t)
+	srv, fhs, fh := diskAllocRig(t)
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
-	if f, bad := srv.readFrame(read, 7); bad != nil {
+	if f, bad := srv.readFrame(fhs, read, 7); bad != nil {
 		t.Fatalf("warmup read failed: %#v", bad)
 	} else {
 		f.Release()
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		f, bad := srv.readFrame(read, 7)
+		f, bad := srv.readFrame(fhs, read, 7)
 		if bad != nil {
 			t.Fatalf("read failed: %#v", bad)
 		}
@@ -130,24 +134,24 @@ func TestDiskReadFrameAllocsNothing(t *testing.T) {
 // BenchmarkReadFrame measures the zero-copy frame build for a 64 KiB
 // read; ReportAllocs documents the 0 allocs/op claim in CI bench runs.
 func BenchmarkReadFrame(b *testing.B) {
-	srv, fh := allocRig(b)
-	benchReadFrame(b, srv, fh)
+	srv, fhs, fh := allocRig(b)
+	benchReadFrame(b, srv, fhs, fh)
 }
 
 // BenchmarkDiskReadFrame is the same measurement over the disk
 // backend: each op is a real pread out of the page cache.
 func BenchmarkDiskReadFrame(b *testing.B) {
-	srv, fh := diskAllocRig(b)
-	benchReadFrame(b, srv, fh)
+	srv, fhs, fh := diskAllocRig(b)
+	benchReadFrame(b, srv, fhs, fh)
 }
 
-func benchReadFrame(b *testing.B, srv *Server, fh uint64) {
+func benchReadFrame(b *testing.B, srv *Server, fhs *handles, fh uint64) {
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
 	b.ReportAllocs()
 	b.SetBytes(64 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, bad := srv.readFrame(read, 7)
+		f, bad := srv.readFrame(fhs, read, 7)
 		if bad != nil {
 			b.Fatalf("read failed: %#v", bad)
 		}
@@ -160,14 +164,14 @@ func benchReadFrame(b *testing.B, srv *Server, fh uint64) {
 // concurrent streams against tmpfs". With no per-read locks on the read
 // path it should scale close to linearly until memory bandwidth.
 func BenchmarkDiskReadFrameParallel(b *testing.B) {
-	srv, fh := diskAllocRig(b)
+	srv, fhs, fh := diskAllocRig(b)
 	read := proto.Read{FH: fh, Off: 0, N: 64 << 10}
 	b.ReportAllocs()
 	b.SetBytes(64 << 10)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			f, bad := srv.readFrame(read, 7)
+			f, bad := srv.readFrame(fhs, read, 7)
 			if bad != nil {
 				b.Errorf("read failed: %#v", bad)
 				return

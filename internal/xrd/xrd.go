@@ -9,7 +9,6 @@
 package xrd
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"scalla/internal/mux"
@@ -50,15 +49,11 @@ type Config struct {
 
 // Server is a data server. Create one with New, then Serve a listener.
 type Server struct {
-	cfg   Config
-	sched *mux.Scheduler
-
-	mu      sync.Mutex
-	handles map[uint64]*handle
-	nextFH  uint64
+	cfg  Config
+	face *mux.Face
+	fhs  mux.HandleSpace // numbers and counts every connection's handles
 
 	inflight atomic.Int64
-	closed   atomic.Bool
 
 	opens        atomic.Int64
 	reads        atomic.Int64
@@ -86,6 +81,10 @@ type handle struct {
 	write bool
 }
 
+// handles is one connection's handle table; a dropped client leaks
+// nothing.
+type handles = mux.Handles[*handle]
+
 // New returns a Server over the given configuration.
 func New(cfg Config) *Server {
 	if cfg.Store == nil {
@@ -100,31 +99,32 @@ func New(cfg Config) *Server {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Server{
-		cfg: cfg,
-		sched: mux.NewScheduler(mux.SchedConfig{
+	s := &Server{cfg: cfg}
+	s.face = mux.NewFace(mux.FaceConfig{
+		Name: "xrd",
+		Sched: mux.SchedConfig{
 			Workers:          cfg.Workers,
 			QueueLimit:       cfg.DispatchQueue,
 			RetryAfterMillis: cfg.RetryAfterMillis,
 			Seed:             cfg.SchedSeed,
-		}),
-		handles: make(map[uint64]*handle),
-	}
+		},
+		Tracer:  cfg.Tracer,
+		Logf:    cfg.Logf,
+		NewConn: s.serveConn,
+	})
+	return s
 }
 
 // Sched exposes the request scheduler for observability snapshots.
-func (s *Server) Sched() *mux.Scheduler { return s.sched }
+func (s *Server) Sched() *mux.Scheduler { return s.face.Sched() }
 
 // Store returns the backing store.
 func (s *Server) Store() *store.Store { return s.cfg.Store }
 
 // Stats returns a snapshot of the cumulative op counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	h := len(s.handles)
-	s.mu.Unlock()
 	return Stats{
-		OpenHandles:  h,
+		OpenHandles:  s.fhs.Open(),
 		Inflight:     int(s.inflight.Load()),
 		Opens:        s.opens.Load(),
 		Reads:        s.reads.Load(),
@@ -137,103 +137,62 @@ func (s *Server) Stats() Stats {
 
 // Load returns the current load figure used for server selection.
 func (s *Server) Load() uint32 {
-	s.mu.Lock()
-	h := len(s.handles)
-	s.mu.Unlock()
-	return uint32(h) + uint32(s.inflight.Load())
+	return uint32(s.fhs.Open()) + uint32(s.inflight.Load())
 }
 
 // Serve accepts and handles connections until the listener fails
 // (typically because it was closed). It blocks; run it in a goroutine.
-func (s *Server) Serve(l transport.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve(l transport.Listener) { s.face.Serve(l) }
 
-// Close marks the server closed, discards queued requests, and waits
-// for in-flight handlers to return; existing connections then drain
-// naturally.
-func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	s.sched.Close()
-}
+// Close stops the listeners, drops every connection, discards queued
+// requests, and waits for in-flight handlers to return.
+func (s *Server) Close() { s.face.Close() }
 
-func (s *Server) handleConn(conn transport.Conn) {
-	defer conn.Close()
-	// Handles are per-connection in spirit; track the ones opened here
-	// so a dropped client leaks nothing. Concurrent workers append
-	// under their own lock.
-	var mineMu sync.Mutex
-	var mine []uint64
-	defer func() {
-		s.mu.Lock()
-		for _, fh := range mine {
-			delete(s.handles, fh)
-		}
-		s.mu.Unlock()
-	}()
-	mux.Serve(conn, func(msg proto.Message, r mux.Responder) proto.Message {
-		if s.closed.Load() {
-			return nil
-		}
+// serveConn builds one connection's handler over its own handle table,
+// which is dropped when the connection goes.
+func (s *Server) serveConn() (mux.Handler, func()) {
+	fhs := mux.NewHandles[*handle](&s.fhs)
+	return func(msg proto.Message, r mux.Responder) proto.Message {
 		s.inflight.Add(1)
-		reply, opened := s.dispatch(msg, r)
+		reply := s.dispatch(fhs, msg, r)
 		s.inflight.Add(-1)
-		if opened != 0 {
-			mineMu.Lock()
-			mine = append(mine, opened)
-			mineMu.Unlock()
-		}
 		return reply
-	}, mux.ServeOptions{
-		Sched:  s.sched,
-		Tracer: s.cfg.Tracer,
-		OnError: func(err error) {
-			s.cfg.Logf("xrd: bad frame from %s: %v", conn.RemoteAddr(), err)
-		},
-	})
+	}, func() { fhs.DropAll() }
 }
 
-// dispatch handles one request, returning the reply and, for successful
-// opens, the issued handle. Reads and inline opens reply through the
-// responder's single-copy frame path and return nil.
-func (s *Server) dispatch(msg proto.Message, r mux.Responder) (reply proto.Message, opened uint64) {
+// dispatch handles one request on a connection with handle table fhs.
+// Reads and inline opens reply through the responder's single-copy
+// frame path and return nil.
+func (s *Server) dispatch(fhs *handles, msg proto.Message, r mux.Responder) proto.Message {
 	switch m := msg.(type) {
 	case proto.Open:
-		reply, inline, fh := s.open(m, r.Stream())
+		reply, inline := s.open(fhs, m, r.Stream())
 		if inline != nil {
 			if err := r.SendFrame(inline); err != nil {
 				s.cfg.Logf("xrd: inline open reply failed: %v", err)
 			}
 		}
-		return reply, fh
+		return reply
 	case proto.Read:
-		return s.read(m, r), 0
+		return s.read(fhs, m, r)
 	case proto.Write:
-		return s.write(m), 0
+		return s.write(fhs, m)
 	case proto.Trunc:
-		return s.trunc(m), 0
+		return s.trunc(fhs, m)
 	case proto.Close:
-		return s.close(m), 0
+		return s.close(fhs, m)
 	case proto.Stat:
-		return s.stat(m), 0
+		return s.stat(m)
 	case proto.Unlink:
-		return s.unlink(m), 0
+		return s.unlink(m)
 	case proto.Prepare:
-		return s.prepare(m), 0
+		return s.prepare(m)
 	case proto.List:
-		return s.list(m), 0
+		return s.list(m)
 	case proto.Ping:
-		return proto.Pong{Load: s.Load(), Free: s.cfg.Store.Free()}, 0
+		return proto.Pong{Load: s.Load(), Free: s.cfg.Store.Free()}
 	default:
-		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}, 0
+		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}
 	}
 }
 
@@ -241,41 +200,40 @@ func (s *Server) dispatch(msg proto.Message, r mux.Responder) (reply proto.Messa
 // of an online file of at most proto.InlineMax bytes — with a
 // handle-less reply frame carrying the whole file, which the caller
 // sends. Exactly one of reply and inline is non-nil.
-func (s *Server) open(m proto.Open, stream uint32) (reply proto.Message, inline *proto.Frame, fh uint64) {
+func (s *Server) open(fhs *handles, m proto.Open, stream uint32) (reply proto.Message, inline *proto.Frame) {
 	st := s.cfg.Store
 	if m.Create {
 		if s.cfg.ReadOnly {
-			return proto.Err{Code: proto.EIO, Msg: "read-only server"}, nil, 0
+			return proto.Err{Code: proto.EIO, Msg: "read-only server"}, nil
 		}
 		if err := st.Create(m.Path); err == store.ErrExists {
-			return proto.Err{Code: proto.EExist, Msg: "file exists"}, nil, 0
+			return proto.Err{Code: proto.EExist, Msg: "file exists"}, nil
 		} else if err != nil {
-			return proto.Err{Code: proto.EIO, Msg: err.Error()}, nil, 0
+			return proto.Err{Code: proto.EIO, Msg: err.Error()}, nil
 		}
-		return s.issue(m.Path, true, 0), nil, 0
+		return s.issue(fhs, m.Path, true, 0), nil
 	}
 	if m.Write && s.cfg.ReadOnly {
-		return proto.Err{Code: proto.EIO, Msg: "read-only server"}, nil, 0
+		return proto.Err{Code: proto.EIO, Msg: "read-only server"}, nil
 	}
 	info, err := st.Stat(m.Path)
 	if err != nil {
-		return proto.Err{Code: proto.ENoEnt, Msg: "no such file"}, nil, 0
+		return proto.Err{Code: proto.ENoEnt, Msg: "no such file"}, nil
 	}
 	if !info.Online {
 		// Kick staging and tell the client to come back.
 		if _, err := st.Stage(m.Path); err != nil {
-			return proto.Err{Code: proto.EIO, Msg: err.Error()}, nil, 0
+			return proto.Err{Code: proto.EIO, Msg: err.Error()}, nil
 		}
 		s.staged.Add(1)
-		return proto.Wait{Millis: s.cfg.StageWaitMillis}, nil, 0
+		return proto.Wait{Millis: s.cfg.StageWaitMillis}, nil
 	}
 	if m.Inline && !m.Write && info.Size <= proto.InlineMax {
 		if f := s.inlineFrame(m.Path, info.Size, stream); f != nil {
-			return nil, f, 0
+			return nil, f
 		}
 	}
-	reply, fh = s.issueMsg(m.Path, m.Write, info.Size)
-	return reply, nil, fh
+	return s.issue(fhs, m.Path, m.Write, info.Size), nil
 }
 
 // inlineFrame builds a handle-less OpenOK carrying the whole file,
@@ -297,34 +255,18 @@ func (s *Server) inlineFrame(path string, size int64, stream uint32) *proto.Fram
 	return f
 }
 
-func (s *Server) issue(path string, write bool, size int64) proto.Message {
-	msg, _ := s.issueMsg(path, write, size)
-	return msg
-}
-
-func (s *Server) issueMsg(path string, write bool, size int64) (proto.Message, uint64) {
-	s.mu.Lock()
-	s.nextFH++
-	fh := s.nextFH
-	s.handles[fh] = &handle{path: path, write: write}
-	s.mu.Unlock()
+func (s *Server) issue(fhs *handles, path string, write bool, size int64) proto.Message {
+	fh := fhs.Issue(&handle{path: path, write: write})
 	s.opens.Add(1)
-	return proto.OpenOK{FH: fh, Size: size}, fh
-}
-
-func (s *Server) lookup(fh uint64) (*handle, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.handles[fh]
-	return h, ok
+	return proto.OpenOK{FH: fh, Size: size}
 }
 
 // read serves a Read through the single-copy path: the payload is
 // copied from the store directly into a pooled, stream-tagged Data
 // frame (no intermediate buffer) and sent through the responder. Only
 // non-Data verdicts (wait, errors) come back as a reply message.
-func (s *Server) read(m proto.Read, r mux.Responder) proto.Message {
-	f, fallback := s.readFrame(m, r.Stream())
+func (s *Server) read(fhs *handles, m proto.Read, r mux.Responder) proto.Message {
+	f, fallback := s.readFrame(fhs, m, r.Stream())
 	if f == nil {
 		return fallback
 	}
@@ -336,8 +278,8 @@ func (s *Server) read(m proto.Read, r mux.Responder) proto.Message {
 
 // readFrame builds the single-copy Data frame for a Read, or returns
 // the non-Data verdict instead. The caller owns the returned frame.
-func (s *Server) readFrame(m proto.Read, stream uint32) (*proto.Frame, proto.Message) {
-	h, ok := s.lookup(m.FH)
+func (s *Server) readFrame(fhs *handles, m proto.Read, stream uint32) (*proto.Frame, proto.Message) {
+	h, ok := fhs.Lookup(m.FH)
 	if !ok {
 		return nil, proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
@@ -367,8 +309,8 @@ func (s *Server) readFrame(m proto.Read, stream uint32) (*proto.Frame, proto.Mes
 	}
 }
 
-func (s *Server) write(m proto.Write) proto.Message {
-	h, ok := s.lookup(m.FH)
+func (s *Server) write(fhs *handles, m proto.Write) proto.Message {
+	h, ok := fhs.Lookup(m.FH)
 	if !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
@@ -394,8 +336,8 @@ func (s *Server) write(m proto.Write) proto.Message {
 	return proto.WriteOK{FH: m.FH, N: uint32(n)}
 }
 
-func (s *Server) trunc(m proto.Trunc) proto.Message {
-	h, ok := s.lookup(m.FH)
+func (s *Server) trunc(fhs *handles, m proto.Trunc) proto.Message {
+	h, ok := fhs.Lookup(m.FH)
 	if !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
@@ -414,12 +356,8 @@ func (s *Server) trunc(m proto.Trunc) proto.Message {
 	return proto.TruncOK{FH: m.FH}
 }
 
-func (s *Server) close(m proto.Close) proto.Message {
-	s.mu.Lock()
-	_, ok := s.handles[m.FH]
-	delete(s.handles, m.FH)
-	s.mu.Unlock()
-	if !ok {
+func (s *Server) close(fhs *handles, m proto.Close) proto.Message {
+	if _, ok := fhs.Drop(m.FH); !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}
 	}
 	return proto.CloseOK{FH: m.FH}
@@ -469,10 +407,6 @@ func (s *Server) list(m proto.List) proto.Message {
 	return proto.ListOK{Entries: entries}
 }
 
-// Handles returns the number of open file handles (for tests and load
-// inspection).
-func (s *Server) Handles() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.handles)
-}
+// Handles returns the number of open file handles across every
+// connection (for tests and load inspection).
+func (s *Server) Handles() int { return s.fhs.Open() }

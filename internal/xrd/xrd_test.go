@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 	"scalla/internal/store"
 	"scalla/internal/transport"
@@ -320,5 +321,100 @@ func TestBadFrameDropsConnection(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("connection survived garbage frame")
 		}
+	}
+}
+
+// wedge opens a 40 KiB file on conn, pipelines 32 reads of it and
+// never receives, then waits until every worker of srv is blocked
+// sending into the peer's full link.
+func wedge(t *testing.T, srv *Server, conn transport.Conn, path string) {
+	t.Helper()
+	open, ok := rpc(t, conn, proto.Open{Path: path}).(proto.OpenOK)
+	if !ok {
+		t.Fatal("open failed")
+	}
+	for i := 0; i < 32; i++ {
+		if err := transport.SendMessageStream(conn, proto.Read{FH: open.FH, N: 40 << 10}, uint32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Sched().Stats().InFlight < srv.cfg.Workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("handlers never wedged: %+v", srv.Sched().Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseWithWedgedPeer: Close drops a peer that stopped reading
+// before it drains the scheduler, so handlers blocked sending to it
+// unwind and Close returns promptly; the peer then reads EOF.
+func TestCloseWithWedgedPeer(t *testing.T) {
+	n := transport.NewInProc(transport.InProcConfig{QueueLen: 1})
+	l, err := n.Listen("xrd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(store.Config{})
+	st.Put("/f", make([]byte, 40<<10))
+	srv := New(Config{Store: st})
+	go srv.Serve(l)
+	conn, err := n.Dial("xrd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wedge(t, srv, conn, "/f")
+
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1 s of a wedged peer")
+	}
+	for {
+		if _, err := conn.Recv(); err != nil {
+			return // the queued replies drain, then EOF
+		}
+	}
+}
+
+// TestOpenCloseLeavesNoHandles: 10 000 opens and closes on one
+// connection leave its handle table empty while it is still open.
+func TestOpenCloseLeavesNoHandles(t *testing.T) {
+	n := transport.NewInProc(transport.InProcConfig{})
+	l, err := n.Listen("xrd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(store.Config{})
+	st.Put("/f", []byte("x"))
+	srv := New(Config{Store: st})
+	go srv.Serve(l)
+	t.Cleanup(srv.Close)
+	mc, err := mux.Dial(n, "xrd", mux.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	for i := 0; i < 10000; i++ {
+		reply, err := mc.Call(proto.Open{Path: "/f"}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, isOK := reply.(proto.OpenOK)
+		if !isOK {
+			t.Fatalf("open %d: %#v", i, reply)
+		}
+		if reply, err := mc.Call(proto.Close{FH: ok.FH}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		} else if _, isOK := reply.(proto.CloseOK); !isOK {
+			t.Fatalf("close %d: %#v", i, reply)
+		}
+	}
+	if h := srv.Handles(); h != 0 {
+		t.Fatalf("connection's handle table holds %d handles after every close", h)
 	}
 }

@@ -386,10 +386,12 @@ func (c *Cluster) ManagerAddrs() []string {
 	return addrs
 }
 
-// CrashServer stops data server i abruptly (listeners closed, links
-// dropped), simulating a node death. Its backing store and identity are
-// preserved; RestartServer brings it back. Combine with a
-// faults.Network Sever of its addresses to also cut in-flight frames.
+// CrashServer stops data server i abruptly, simulating a node death:
+// its listeners close and every link drops, so a client's open data
+// connection reads EOF and fails its in-flight calls rather than being
+// answered. Its backing store and identity are preserved;
+// RestartServer brings it back. Combine with a faults.Network Sever of
+// its addresses to also cut frames already in flight.
 func (c *Cluster) CrashServer(i int) {
 	c.Servers[i].Stop()
 }
